@@ -109,8 +109,8 @@ pub fn throughput_with_dependencies_for<M: DataflowSemantics>(
 /// Replays one self-timed execution to collect the storage-dependent
 /// channels, reusing an already-computed throughput result (its
 /// `deadlocked` flag, `cycle_entry_time` and `period`) instead of
-/// re-running the state-space analysis. This is what lets a memoized
-/// evaluator answer dependency queries from its cache.
+/// re-running the state-space analysis. This is what lets the guided
+/// exploration answer dependency queries from an evaluation's record.
 ///
 /// # Errors
 ///

@@ -30,11 +30,10 @@ const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 /// A fast, deterministic, non-cryptographic hasher in the FNV/Fx lineage.
 ///
 /// Word-at-a-time multiply-rotate hashing; identical results on every
-/// run, platform and thread (no random keys), which the exploration
-/// runtime relies on for reproducible sharding decisions.
+/// run, platform and thread (no random keys).
 ///
-/// Not DoS-resistant — only use for interned analysis state and memo
-/// caches over trusted, internally generated keys.
+/// Not DoS-resistant — only use for interned analysis state and other
+/// tables over trusted, internally generated keys.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FxHasher {
     hash: u64,

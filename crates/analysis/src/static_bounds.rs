@@ -46,7 +46,7 @@ use crate::error::AnalysisError;
 use crate::mcm::{max_cycle_ratio, RatioEdge, RatioGraph};
 use crate::semantics::DataflowSemantics;
 use buffy_graph::{ActorId, ChannelId, Rational, StorageDistribution};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A sound static throughput certificate for one storage distribution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -151,7 +151,10 @@ impl StaticBounds {
             model.execution_time(a, (firing % p) as u32)
         };
 
-        let mut edges: HashMap<(usize, usize), (u64, u64)> = HashMap::new();
+        // Keyed by (from, to) in a `BTreeMap`, so the edge list — and with
+        // it the work Howard's iteration does — is identical for every
+        // instance built on the same model.
+        let mut edges: BTreeMap<(usize, usize), (u64, u64)> = BTreeMap::new();
         let mut add = |from: usize, to: usize, weight: u64, tokens: u64| {
             edges
                 .entry((from, to))
@@ -408,6 +411,20 @@ mod tests {
         )
         .unwrap()
         .throughput
+    }
+
+    #[test]
+    fn edge_lists_are_identical_across_instances() {
+        let g = example();
+        let c = g.actor_by_name("c").unwrap();
+        let a = StaticBounds::new(&g, c).unwrap();
+        let b = StaticBounds::new(&g, c).unwrap();
+        assert!(!a.fixed.is_empty());
+        assert_eq!(a.fixed, b.fixed);
+        assert!(a
+            .fixed
+            .windows(2)
+            .all(|w| (w[0].from, w[0].to) < (w[1].from, w[1].to)));
     }
 
     #[test]

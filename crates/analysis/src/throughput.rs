@@ -269,10 +269,10 @@ impl AnalysisWorkspace {
 }
 
 /// [`throughput_for_with_cancel`] over a caller-owned
-/// [`AnalysisWorkspace`], the warm-start entry point of the evaluation
-/// pipeline: `state_hint` carries a neighbouring distribution's recorded
-/// state count (0 when no neighbour is known) so the interner starts at
-/// the right size instead of growing through the power-of-two ladder.
+/// [`AnalysisWorkspace`], the entry point of the exploration pipeline:
+/// `state_hint` is the number of reduced states the caller expects (0
+/// when unknown) so the interner starts at the right size instead of
+/// growing through the power-of-two ladder.
 ///
 /// The report is byte-identical to [`throughput_for_with_cancel`]'s for
 /// every workspace state and every hint — the hint is a memory-layout

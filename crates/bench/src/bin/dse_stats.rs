@@ -2,42 +2,25 @@
 //! exploration over the benchmark graphs at one thread and at the
 //! auto-detected thread count (plus the dependency-guided search), and
 //! writes the unified [`ExplorationStats`](buffy_core::ExplorationStats)
-//! of every run — wall time, analyses, cache hit rate, largest state
-//! space — to `BENCH_dse.json` for machine consumption.
+//! of every run — wall time, analyses, largest state space — to
+//! `BENCH_dse.json` for machine consumption.
 //!
 //! The statistics of the 1-thread and N-thread runs must be identical
 //! (the runtime's chunked evaluation makes them thread-count independent);
 //! the bench asserts it, so a regression shows up here as well as in the
 //! test suite.
 //!
-//! Schema v2: each run record additionally carries the evaluation-latency
-//! percentiles and the memo cache's per-shard hit rates, captured through
-//! a per-run [`buffy_telemetry::Recorder`]. All v1 keys are unchanged.
-//!
-//! Schema v3: each run record additionally carries the prune-oracle
-//! counters (`static_prunes`, `dominance_prunes`) and the gallery gains
-//! the cd2dat (fig-7) graph. All v2 keys are unchanged; the CI regression
-//! gate reads `evaluations` and `shard_hit_rates` from this file.
-//!
-//! Schema v4: each run record additionally carries the warm-start
-//! counters of the evaluation pipeline — `warm_starts` (cold evaluations
-//! whose allocations were pre-sized from a neighbouring distribution's
-//! record), `warm_start_hit_rate` (their share of all evaluations) and
-//! `warm_start_states` (the summed state counts those hints carried).
-//! These are allocation-layer effects only: every other statistic and the
-//! fronts are byte-identical with warm starts on or off. All v3 keys are
-//! unchanged.
-//!
-//! Schema v5: each run record additionally carries an `energy` column —
-//! the exact rational energy per iteration of the front's fastest point,
-//! rendered as a string, or `null` for runs in the default 2D objective
-//! space — and the gallery gains guided energy-aware runs over the
-//! power-annotated modem and cd2dat variants. All v4 keys are unchanged.
-//!
-//! Schema v6: each run record additionally carries `evals_per_sec` — the
-//! run's evaluation throughput (`evaluations / wall_secs`), the same
-//! figure the CLI's `--progress` lines and the `/status` endpoint report
-//! live. All v5 keys are unchanged.
+//! Schema v7. Each run record carries: `graph`, `algorithm`, `threads`,
+//! `wall_secs`, `evaluations`, `dominance_prunes` (guided-frontier
+//! candidates drained once the front reached the maximal throughput),
+//! `max_states`, `eval_nanos`, `pareto_points`, the evaluation-latency
+//! percentiles `eval_latency_ns` (captured through a per-run
+//! [`buffy_telemetry::Recorder`]), `energy` (the exact rational energy per
+//! iteration of the front's fastest point as a string, `null` in the
+//! default 2D objective space) and `evals_per_sec` (`evaluations /
+//! wall_secs`). The gallery covers example, bipartite, modem and cd2dat
+//! under both drivers, plus guided energy-aware runs over the
+//! power-annotated modem and cd2dat variants.
 
 use buffy_bench::format_table;
 use buffy_core::{
@@ -65,8 +48,7 @@ fn run(
     threads: usize,
     f: impl Fn() -> ExplorationResult,
 ) -> Run {
-    // A fresh recorder per run keeps the latency and shard statistics
-    // attributable; the global slot is swapped around each measurement.
+    // A fresh recorder per run keeps the latency statistics attributable; the global slot is swapped around each measurement.
     let recorder = Arc::new(Recorder::new());
     buffy_telemetry::install(Arc::clone(&recorder));
     let t0 = Instant::now();
@@ -91,32 +73,8 @@ fn json_record(r: &Run) -> String {
         .get(names::EVAL_LATENCY_NS)
         .cloned()
         .unwrap_or_else(HistogramSnapshot::empty);
-    let hits = Snapshot::family_values(&r.telemetry.counters, names::SHARD_HITS);
-    let misses = Snapshot::family_values(&r.telemetry.counters, names::SHARD_MISSES);
-    let mut shard_rates: Vec<(u64, f64)> = hits
-        .iter()
-        .map(|(shard, h)| {
-            let m = misses
-                .iter()
-                .find(|(s, _)| s == shard)
-                .map(|(_, v)| *v)
-                .unwrap_or(0);
-            let total = h + m;
-            let rate = if total == 0 {
-                0.0
-            } else {
-                *h as f64 / total as f64
-            };
-            (shard.parse().unwrap_or(0), rate)
-        })
-        .collect();
-    shard_rates.sort_by_key(|(index, _)| *index);
-    let shard_rates: Vec<String> = shard_rates
-        .into_iter()
-        .map(|(_, rate)| format!("{rate:.4}"))
-        .collect();
-    // Schema v5's energy column: the fastest front point's exact energy
-    // per iteration, present exactly when the run declared the axis.
+    // The fastest front point's exact energy per iteration, present
+    // exactly when the run declared the energy axis.
     let energy = r
         .result
         .pareto
@@ -124,7 +82,7 @@ fn json_record(r: &Run) -> String {
         .and_then(|p| p.energy())
         .map(|e| format!("\"{e}\""))
         .unwrap_or_else(|| "null".to_string());
-    // Schema v6's throughput column: evaluations per wall-clock second.
+    // Evaluation throughput: evaluations per wall-clock second.
     let evals_per_sec = if r.wall_secs > 0.0 {
         s.evaluations as f64 / r.wall_secs
     } else {
@@ -132,20 +90,15 @@ fn json_record(r: &Run) -> String {
     };
     format!(
         "{{\"graph\":\"{}\",\"algorithm\":\"{}\",\"threads\":{},\"wall_secs\":{:.6},\
-         \"evaluations\":{},\"cache_hits\":{},\"cache_hit_rate\":{:.4},\
-         \"static_prunes\":{},\"dominance_prunes\":{},\"max_states\":{},\
+         \"evaluations\":{},\"dominance_prunes\":{},\"max_states\":{},\
          \"eval_nanos\":{},\"pareto_points\":{},\
-         \"eval_latency_ns\":{{\"p50\":{},\"p90\":{},\"p99\":{}}},\"shard_hit_rates\":[{}],\
-         \"warm_starts\":{},\"warm_start_hit_rate\":{:.4},\"warm_start_states\":{},\
+         \"eval_latency_ns\":{{\"p50\":{},\"p90\":{},\"p99\":{}}},\
          \"energy\":{energy},\"evals_per_sec\":{evals_per_sec:.2}}}",
         r.graph,
         r.algorithm,
         r.threads,
         r.wall_secs,
         s.evaluations,
-        s.cache_hits,
-        s.cache_hit_rate(),
-        s.static_prunes,
         s.dominance_prunes,
         s.max_states,
         s.eval_nanos,
@@ -153,10 +106,6 @@ fn json_record(r: &Run) -> String {
         latency.p50(),
         latency.p90(),
         latency.p99(),
-        shard_rates.join(","),
-        s.warm_starts,
-        s.warm_start_hit_rate(),
-        s.warm_start_states
     )
 }
 
@@ -196,8 +145,7 @@ fn main() {
         runs.extend([one, many, guided]);
     }
 
-    // Schema v5: guided energy-aware runs over the power-annotated
-    // subjects. The 3D space reuses the same evaluations — the energy
+    // Guided energy-aware runs over the power-annotated subjects. The 3D space reuses the same evaluations — the energy
     // axis is derived from each recorded throughput — so these runs cost
     // what their 2D counterparts cost.
     for graph in &[gallery::modem_power(), gallery::cd2dat_power()] {
@@ -231,8 +179,7 @@ fn main() {
                 r.threads.to_string(),
                 format!("{:.3}s", r.wall_secs),
                 s.evaluations.to_string(),
-                format!("{:.0}%", s.cache_hit_rate() * 100.0),
-                format!("{}+{}", s.static_prunes, s.dominance_prunes),
+                s.dominance_prunes.to_string(),
                 s.max_states.to_string(),
                 r.result.pareto.len().to_string(),
             ]
@@ -247,8 +194,7 @@ fn main() {
                 "threads",
                 "wall",
                 "analyses",
-                "cache hit",
-                "pruned",
+                "drained",
                 "max states",
                 "#Pareto",
             ],
@@ -258,7 +204,7 @@ fn main() {
 
     let records: Vec<String> = runs.iter().map(json_record).collect();
     let json = format!(
-        "{{\"bench\":\"dse_stats\",\"schema\":6,\"auto_threads\":{},\"runs\":[\n  {}\n]}}\n",
+        "{{\"bench\":\"dse_stats\",\"schema\":7,\"auto_threads\":{},\"runs\":[\n  {}\n]}}\n",
         auto,
         records.join(",\n  ")
     );

@@ -54,16 +54,7 @@ const VALUE_OPTIONS: &[&str] = &[
 
 /// Boolean flags the commands understand; anything else starting with
 /// `--` is rejected as unknown.
-const KNOWN_FLAGS: &[&str] = &[
-    "csv",
-    "json",
-    "deny-warnings",
-    "force",
-    "help",
-    "no-static-prune",
-    "no-warm-start",
-    "progress",
-];
+const KNOWN_FLAGS: &[&str] = &["csv", "json", "deny-warnings", "force", "help", "progress"];
 
 /// Parses raw arguments.
 ///
@@ -161,8 +152,8 @@ mod tests {
         // Known flags and options still parse.
         assert!(parse(&args(&["check", "g.xml", "--json", "--deny-warnings"])).is_ok());
         assert!(parse(&args(&["--help"])).is_ok());
-        let p = parse(&args(&["explore", "g.xml", "--no-static-prune"])).unwrap();
-        assert!(p.has_flag("no-static-prune"));
+        let p = parse(&args(&["explore", "g.xml", "--progress"])).unwrap();
+        assert!(p.has_flag("progress"));
     }
 
     #[test]

@@ -62,8 +62,6 @@ fn explore_options(parsed: &ParsedArgs, graph: &SdfGraph) -> Result<ExploreOptio
         max_size: parsed.get("max-size")?,
         quantum: parsed.get("quantum")?,
         threads: parsed.get("threads")?.unwrap_or(1),
-        static_prune: !parsed.has_flag("no-static-prune"),
-        warm_start_neighbours: !parsed.has_flag("no-warm-start"),
         objectives: objective_space(parsed)?,
         ..ExploreOptions::default()
     })
@@ -283,16 +281,8 @@ fn telemetry_section(snapshot: Option<&buffy_telemetry::Snapshot>) -> String {
 /// Renders the exploration statistics as a JSON object.
 fn stats_json(stats: &ExplorationStats) -> String {
     format!(
-        "{{\"evaluations\":{},\"cache_hits\":{},\"static_prunes\":{},\"dominance_prunes\":{},\"max_states\":{},\"eval_nanos\":{},\"warm_starts\":{},\"warm_start_hit_rate\":{:.4},\"warm_start_states\":{}}}",
-        stats.evaluations,
-        stats.cache_hits,
-        stats.static_prunes,
-        stats.dominance_prunes,
-        stats.max_states,
-        stats.eval_nanos,
-        stats.warm_starts,
-        stats.warm_start_hit_rate(),
-        stats.warm_start_states
+        "{{\"evaluations\":{},\"dominance_prunes\":{},\"max_states\":{},\"eval_nanos\":{}}}",
+        stats.evaluations, stats.dominance_prunes, stats.max_states, stats.eval_nanos
     )
 }
 
@@ -1096,8 +1086,6 @@ pub fn csdf_explore(parsed: &ParsedArgs, out: Out<'_>) -> Result<i32, String> {
             graph.num_actors(),
         )?),
         warm_start: resume_warm_start(parsed, fingerprint, graph.num_channels())?,
-        static_prune: !parsed.has_flag("no-static-prune"),
-        warm_start_neighbours: !parsed.has_flag("no-warm-start"),
         objectives: space.clone(),
         ..buffy_csdf::CsdfExploreOptions::default()
     };

@@ -64,8 +64,7 @@ COMMANDS:
             [--quantum R] [--max-size N] [--threads N] [--csv] [--json]
             [--objectives storage,throughput[,energy][,latency]]
             [--export-csv FILE] [--export-dot FILE]
-            [--no-static-prune] [--no-warm-start] [--progress]
-            [--trace-json FILE] [--serve ADDR] [--serve-linger SECS]
+            [--progress] [--trace-json FILE] [--serve ADDR] [--serve-linger SECS]
             [--metrics FILE] [--chrome-trace FILE] [--timeout SECS]
             [--max-evals N] [--max-states N] [--max-memory-mb M]
             [--checkpoint FILE] [--resume FILE]
@@ -78,8 +77,7 @@ COMMANDS:
                                       report, --progress reports phases and
                                       counts on stderr and --trace-json
                                       streams one JSON object per
-                                      evaluation/cache-hit/pruned/pareto
-                                      event (each stamped with elapsed_us);
+                                      evaluation/pruned/pareto event (each stamped with elapsed_us);
                                       --serve ADDR starts an embedded
                                       observability server for the run
                                       (GET / dashboard, /healthz, live
@@ -91,22 +89,12 @@ COMMANDS:
                                       that long after the search ends
                                       (attaching the server never changes
                                       the result);
-                                      --no-static-prune disables the static
-                                      certificate and dominance pruning
-                                      (the front is byte-identical either
-                                      way; the run just evaluates more
-                                      distributions); --no-warm-start
-                                      disables seeding each evaluation's
-                                      allocations from a neighbouring
-                                      distribution's record (again
-                                      byte-identical, just slower);
                                       --metrics writes a Prometheus
                                       textfile snapshot and --chrome-trace
                                       a Chrome trace-event JSON (load in
                                       chrome://tracing or Perfetto), and
                                       --json gains a telemetry section
-                                      (latency percentiles, per-shard memo
-                                      cache statistics);
+                                      (evaluation latency percentiles);
                                       --timeout / --max-evals bound the run
                                       and degrade it to a partial,
                                       bound-annotated front; --max-states
@@ -142,7 +130,7 @@ COMMANDS:
                                       front as a CSV table / Graphviz
                                       trade-off chart
     constraint <graph.xml> --throughput R [--actor NAME] [--json]
-               [--no-static-prune] [--progress] [--trace-json FILE]
+               [--progress] [--trace-json FILE]
                [--serve ADDR] [--serve-linger SECS]
                [--metrics FILE] [--chrome-trace FILE] [--timeout SECS]
                [--max-evals N] [--max-states N] [--max-memory-mb M]
@@ -171,10 +159,9 @@ COMMANDS:
                                       throughput of a CSDF graph under one
                                       storage distribution
     csdf-explore <graph.xml> [--actor NAME] [--max-size N] [--threads N]
-                 [--quantum R] [--csv] [--json] [--no-static-prune]
+                 [--quantum R] [--csv] [--json]
                  [--objectives storage,throughput[,energy]]
-                 [--export-csv FILE] [--export-dot FILE]
-                 [--no-warm-start] [--progress]
+                 [--export-csv FILE] [--export-dot FILE] [--progress]
                  [--trace-json FILE] [--serve ADDR] [--serve-linger SECS]
                  [--metrics FILE] [--chrome-trace FILE]
                  [--timeout SECS] [--max-evals N] [--max-states N]
@@ -183,7 +170,7 @@ COMMANDS:
                                       --threads parallelizes the analyses
                                       (0 = auto-detect) and --quantum
                                       coarsens the searched throughputs
-                                      (reported with evaluator cache
+                                      (reported with evaluation
                                       statistics); the resilience,
                                       telemetry, objective and export
                                       options behave as for explore,
@@ -365,10 +352,10 @@ mod tests {
         assert!(text.contains("size,throughput"), "{text}");
 
         // --threads and --quantum are wired through; the human-readable
-        // report carries the evaluator cache statistics.
+        // report carries the evaluation statistics.
         let (code, text) = run_to_string(&["csdf-explore", p, "--threads", "2"]);
         assert_eq!(code, 0, "{text}");
-        assert!(text.contains("cache hits"), "{text}");
+        assert!(text.contains(" evaluations, max "), "{text}");
         let (code, text) = run_to_string(&["csdf-explore", p, "--quantum", "1/2"]);
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("Pareto points"), "{text}");
@@ -376,7 +363,7 @@ mod tests {
         // `explore` sniffs the dialect and routes CSDF inputs itself.
         let (code, text) = run_to_string(&["explore", p, "--threads", "2"]);
         assert_eq!(code, 0, "{text}");
-        assert!(text.contains("cache hits"), "{text}");
+        assert!(text.contains(" evaluations, max "), "{text}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -627,18 +614,15 @@ mod tests {
         ]);
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("\"stats\":{\"evaluations\":"), "{text}");
-        assert!(text.contains("\"static_prunes\":"), "{text}");
         assert!(text.contains("\"dominance_prunes\":"), "{text}");
+        assert!(!text.contains("cache_hits"), "{text}");
         assert!(text.contains("\"pareto\":[{\"size\":6,"), "{text}");
 
-        // The trace is JSON-lines covering all three event kinds.
+        // The trace is JSON-lines covering the evaluation, pareto and
+        // phase event kinds.
         let trace_text = std::fs::read_to_string(&trace).unwrap();
         assert!(
             trace_text.contains("\"event\":\"evaluation\""),
-            "{trace_text}"
-        );
-        assert!(
-            trace_text.contains("\"event\":\"cache-hit\""),
             "{trace_text}"
         );
         assert!(trace_text.contains("\"event\":\"pareto\""), "{trace_text}");
@@ -654,51 +638,8 @@ mod tests {
         assert!(text.contains("\"stats\":{\"evaluations\":"), "{text}");
         let (code, text) = run_to_string(&["constraint", p, "--throughput", "1/6"]);
         assert_eq!(code, 0, "{text}");
-        assert!(text.contains("cache hits"), "{text}");
+        assert!(text.contains(" evaluations, max "), "{text}");
 
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&trace).ok();
-    }
-
-    #[test]
-    fn no_static_prune_front_is_byte_identical() {
-        // bipartite actually exercises both prune directions; the CSV
-        // front must not depend on whether the oracle ran.
-        let (_, xml) = run_to_string(&["gallery", "bipartite"]);
-        let path = std::env::temp_dir().join("buffy-cli-test-nopr.xml");
-        std::fs::write(&path, &xml).unwrap();
-        let p = path.to_str().unwrap();
-        let trace = std::env::temp_dir().join("buffy-cli-test-nopr-trace.jsonl");
-        let t = trace.to_str().unwrap();
-
-        let (code, pruned) = run_to_string(&[
-            "explore",
-            p,
-            "--algorithm",
-            "exhaustive",
-            "--csv",
-            "--trace-json",
-            t,
-        ]);
-        assert_eq!(code, 0, "{pruned}");
-        let (code, unpruned) = run_to_string(&[
-            "explore",
-            p,
-            "--algorithm",
-            "exhaustive",
-            "--csv",
-            "--no-static-prune",
-        ]);
-        assert_eq!(code, 0, "{unpruned}");
-        assert_eq!(pruned, unpruned);
-
-        // The pruned run records its decisions in the trace.
-        let trace_text = std::fs::read_to_string(&trace).unwrap();
-        assert!(
-            trace_text.contains("\"event\":\"pruned\"")
-                && trace_text.contains("\"kind\":\"static-bound\""),
-            "{trace_text}"
-        );
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&trace).ok();
     }
@@ -770,13 +711,12 @@ mod tests {
         ]);
         assert_eq!(code, 0, "{text}");
         // The JSON report gains the telemetry section: latency
-        // percentiles and per-shard memo-cache statistics.
+        // percentiles.
         assert!(
             text.contains("\"telemetry\":{\"eval_latency_ns\":{"),
             "{text}"
         );
         assert!(text.contains("\"p99\":"), "{text}");
-        assert!(text.contains("\"memo_shards\":[{\"shard\":0,"), "{text}");
 
         // Prometheus textfile: HELP/TYPE headers and the latency family.
         let prom_text = std::fs::read_to_string(&prom).unwrap();
@@ -786,10 +726,6 @@ mod tests {
         );
         assert!(
             prom_text.contains("buffy_eval_latency_ns_count"),
-            "{prom_text}"
-        );
-        assert!(
-            prom_text.contains("buffy_memo_shard_hits_total{shard=\"0\"}"),
             "{prom_text}"
         );
 

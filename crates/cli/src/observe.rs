@@ -13,7 +13,7 @@
 //!   summary always print. Each line carries the evaluation rate, and —
 //!   when the command pre-counted the realizable
 //!   [`DistributionSpace`](buffy_core::DistributionSpace) — the percent
-//!   of that space already covered (evaluated, cache-answered or pruned)
+//!   of that space already covered (evaluated or pruned)
 //!   plus an ETA extrapolated from the coverage rate;
 //! - `--trace-json <file>`: one JSON object per line (JSON-lines). Every
 //!   event leads with `elapsed_us`, microseconds on the monotonic clock
@@ -27,9 +27,9 @@
 //!   every [`CHECKPOINT_EVERY`] evaluations and once more at `finish`.
 //!
 //! The trace vocabulary (the `event` field): `phase`, `evaluation`,
-//! `cache-hit`, `pruned`, `pareto`, `evaluation-failed`, `end`. All values are
-//! numbers, fixed enum names, rationals rendered as `"p/q"`, or
-//! JSON-escaped strings.
+//! `pruned`, `pareto`, `evaluation-failed`, `end`. All values are numbers,
+//! fixed enum names, rationals rendered as `"p/q"`, or JSON-escaped
+//! strings.
 
 use buffy_core::{
     Checkpoint, CheckpointEntry, ExploreObserver, FaultPlan, ObjectiveSpace, ParetoPoint,
@@ -140,7 +140,6 @@ pub struct CliObserver {
     /// (`u64::MAX` = none emitted yet).
     progress_last_us: AtomicU64,
     evaluations: AtomicU64,
-    cache_hits: AtomicU64,
     prunes: AtomicU64,
     /// Total realizable candidates in the search window, when the command
     /// pre-counted them (`--progress` only): the denominator of the
@@ -191,7 +190,6 @@ impl CliObserver {
             start: Instant::now(),
             progress_last_us: AtomicU64::new(u64::MAX),
             evaluations: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
             prunes: AtomicU64::new(0),
             space_total: None,
             trace,
@@ -217,16 +215,14 @@ impl CliObserver {
 
     /// The dynamic tail of a progress line: evaluation rate, and — when
     /// the candidate space was pre-counted — percent covered plus an ETA
-    /// extrapolated from the coverage rate (evaluations, cache hits and
-    /// prunes all cover candidates).
+    /// extrapolated from the coverage rate (evaluations and prunes both
+    /// cover candidates).
     fn progress_suffix(&self) -> String {
         let elapsed = self.start.elapsed().as_secs_f64().max(1e-6);
         let evals = self.evaluations.load(Ordering::Relaxed);
         let mut out = format!(", {:.0} evals/s", evals as f64 / elapsed);
         if let Some(total) = self.space_total {
-            let covered = evals
-                + self.cache_hits.load(Ordering::Relaxed)
-                + self.prunes.load(Ordering::Relaxed);
+            let covered = evals + self.prunes.load(Ordering::Relaxed);
             let pct = if total == 0 {
                 100.0
             } else {
@@ -299,9 +295,8 @@ impl CliObserver {
         if self.progress {
             // The final summary is never throttled.
             eprintln!(
-                "[buffy] finished ({reason}): {} analyses, {} cache hits{}",
+                "[buffy] finished ({reason}): {} analyses{}",
                 self.evaluations.load(Ordering::Relaxed),
-                self.cache_hits.load(Ordering::Relaxed),
                 self.progress_suffix()
             );
         }
@@ -393,11 +388,7 @@ impl ExploreObserver for CliObserver {
     ) {
         let n = self.evaluations.fetch_add(1, Ordering::Relaxed) + 1;
         if self.progress_tick() {
-            eprintln!(
-                "[buffy] {n} analyses, {} cache hits{}",
-                self.cache_hits.load(Ordering::Relaxed),
-                self.progress_suffix()
-            );
+            eprintln!("[buffy] {n} analyses{}", self.progress_suffix());
         }
         self.trace_line(format_args!(
             "{{\"event\":\"evaluation\",\"distribution\":{},\"size\":{},\"throughput\":\"{}\",\"states\":{},\"nanos\":{}}}",
@@ -430,14 +421,6 @@ impl ExploreObserver for CliObserver {
             "{{\"event\":\"evaluation-failed\",\"distribution\":{},\"message\":\"{}\"}}",
             dist_json(dist),
             json_escape(message)
-        ));
-    }
-
-    fn cache_hit(&self, dist: &StorageDistribution) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        self.trace_line(format_args!(
-            "{{\"event\":\"cache-hit\",\"distribution\":{}}}",
-            dist_json(dist)
         ));
     }
 
@@ -492,15 +475,14 @@ mod tests {
         obs.phase_started(SearchPhase::Bounds);
         let d = StorageDistribution::from_capacities(vec![4, 2]);
         obs.evaluation_finished(&d, Rational::new(1, 7), 5, 1234);
-        obs.cache_hit(&d);
-        obs.distribution_pruned(&d, PruneKind::Static);
+        obs.distribution_pruned(&d, PruneKind::Dominance);
         obs.evaluation_failed(&d, "panicked: \"why\"");
         obs.pareto_accepted(&ParetoPoint::new(d, Rational::new(1, 7)));
         obs.finish("exact").unwrap();
 
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 7);
+        assert_eq!(lines.len(), 6);
         assert!(lines[0].contains("\"event\":\"phase\""), "{}", lines[0]);
         assert!(
             lines[1].contains("\"event\":\"evaluation\"")
@@ -509,29 +491,28 @@ mod tests {
             "{}",
             lines[1]
         );
-        assert!(lines[2].contains("\"event\":\"cache-hit\""), "{}", lines[2]);
         assert!(
-            lines[3].contains("\"event\":\"pruned\"")
-                && lines[3].contains("\"kind\":\"static-bound\"")
-                && lines[3].contains("\"distribution\":[4,2]"),
+            lines[2].contains("\"event\":\"pruned\"")
+                && lines[2].contains("\"kind\":\"dominance\"")
+                && lines[2].contains("\"distribution\":[4,2]"),
+            "{}",
+            lines[2]
+        );
+        assert!(
+            lines[3].contains("\"event\":\"evaluation-failed\"")
+                && lines[3].contains("panicked: \\\"why\\\""),
             "{}",
             lines[3]
         );
         assert!(
-            lines[4].contains("\"event\":\"evaluation-failed\"")
-                && lines[4].contains("panicked: \\\"why\\\""),
+            lines[4].contains("\"event\":\"pareto\"") && lines[4].contains("\"size\":6"),
             "{}",
             lines[4]
         );
         assert!(
-            lines[5].contains("\"event\":\"pareto\"") && lines[5].contains("\"size\":6"),
+            lines[5].contains("\"event\":\"end\"") && lines[5].contains("\"reason\":\"exact\""),
             "{}",
             lines[5]
-        );
-        assert!(
-            lines[6].contains("\"event\":\"end\"") && lines[6].contains("\"reason\":\"exact\""),
-            "{}",
-            lines[6]
         );
         // Every line is a single JSON object leading with the run clock:
         // braces balance and the line starts/ends with them (the
@@ -562,9 +543,9 @@ mod tests {
             .with_space_total(Some(10));
         let d = StorageDistribution::from_capacities(vec![4, 2]);
         obs.evaluation_finished(&d, Rational::new(1, 7), 5, 10);
-        obs.cache_hit(&d);
         obs.distribution_pruned(&d, PruneKind::Dominance);
-        // 1 eval + 1 hit + 1 prune = 3 of 10 candidates covered.
+        obs.distribution_pruned(&d, PruneKind::Dominance);
+        // 1 eval + 2 prunes = 3 of 10 candidates covered.
         let suffix = obs.progress_suffix();
         assert!(suffix.contains(" evals/s"), "{suffix}");
         assert!(suffix.contains("30.0% of space"), "{suffix}");

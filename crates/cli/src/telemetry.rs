@@ -100,90 +100,42 @@ impl Drop for TelemetrySession {
 }
 
 /// Renders the `--json` `telemetry` section: evaluation-latency
-/// percentiles plus the memo cache's per-shard hit/miss/occupancy.
+/// percentiles.
 pub(crate) fn telemetry_json(snapshot: &Snapshot) -> String {
     let latency = snapshot
         .histograms
         .get(names::EVAL_LATENCY_NS)
         .cloned()
         .unwrap_or_else(HistogramSnapshot::empty);
-    let hits = Snapshot::family_values(&snapshot.counters, names::SHARD_HITS);
-    let misses = Snapshot::family_values(&snapshot.counters, names::SHARD_MISSES);
-    let entries = Snapshot::family_values(&snapshot.gauges, names::SHARD_ENTRIES);
-    let value_of = |pairs: &[(&str, u64)], shard: &str| {
-        pairs
-            .iter()
-            .find(|(s, _)| *s == shard)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
-    // BTreeMap order is lexicographic; shards are numbered, so re-sort.
-    let mut shards: Vec<(u64, String)> = hits
-        .iter()
-        .map(|(shard, h)| {
-            let index: u64 = shard.parse().unwrap_or(0);
-            let json = format!(
-                "{{\"shard\":{index},\"hits\":{h},\"misses\":{},\"entries\":{}}}",
-                value_of(&misses, shard),
-                value_of(&entries, shard)
-            );
-            (index, json)
-        })
-        .collect();
-    shards.sort_by_key(|(index, _)| *index);
-    let shards: Vec<String> = shards.into_iter().map(|(_, json)| json).collect();
     format!(
-        "{{\"eval_latency_ns\":{{\"count\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{}}},\"memo_shards\":[{}]}}",
+        "{{\"eval_latency_ns\":{{\"count\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}}}",
         latency.count,
         latency.mean(),
         latency.p50(),
         latency.p90(),
         latency.p99(),
-        shards.join(",")
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use buffy_telemetry::labeled;
 
     #[test]
-    fn telemetry_json_renders_latency_and_shards() {
+    fn telemetry_json_renders_latency() {
         let r = Recorder::new();
         let h = r.histogram(names::EVAL_LATENCY_NS, "latency");
         h.record(1000);
         h.record(2000);
-        r.counter(&labeled(names::SHARD_HITS, "shard", 0), "hits")
-            .add(3);
-        r.counter(&labeled(names::SHARD_HITS, "shard", 10), "hits")
-            .add(1);
-        r.counter(&labeled(names::SHARD_MISSES, "shard", 0), "misses")
-            .add(2);
-        r.gauge(&labeled(names::SHARD_ENTRIES, "shard", 0), "entries")
-            .set(5);
         let json = telemetry_json(&r.snapshot());
         assert!(json.contains("\"count\":2"), "{json}");
         assert!(json.contains("\"p50\":"), "{json}");
-        // Shards are ordered numerically (0 before 10), absent families
-        // default to zero.
-        let pos0 = json.find("\"shard\":0,").unwrap();
-        let pos10 = json.find("\"shard\":10,").unwrap();
-        assert!(pos0 < pos10, "{json}");
-        assert!(
-            json.contains("{\"shard\":0,\"hits\":3,\"misses\":2,\"entries\":5}"),
-            "{json}"
-        );
-        assert!(
-            json.contains("{\"shard\":10,\"hits\":1,\"misses\":0,\"entries\":0}"),
-            "{json}"
-        );
     }
 
     #[test]
     fn empty_snapshot_renders_cleanly() {
         let json = telemetry_json(&Snapshot::default());
         assert!(json.contains("\"count\":0"), "{json}");
-        assert!(json.contains("\"memo_shards\":[]"), "{json}");
+        assert!(json.ends_with("}}"), "{json}");
     }
 }

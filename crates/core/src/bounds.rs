@@ -111,9 +111,9 @@ pub fn upper_bound_distribution_for<M: DataflowSemantics>(
 
 /// [`upper_bound_distribution_for`] with the throughput probes routed
 /// through a caller-supplied evaluation function — the exploration drivers
-/// pass their memoized [`crate::explore::Evaluator`] so that bound probes
-/// are cached, counted in the [`crate::ExplorationStats`] and reported to
-/// the [`crate::ExploreObserver`].
+/// pass their evaluation pipeline so that bound probes are counted in the
+/// [`crate::ExplorationStats`] and reported to the
+/// [`crate::ExploreObserver`].
 pub(crate) fn upper_bound_distribution_with<M: DataflowSemantics>(
     model: &M,
     observed: ActorId,

@@ -1,10 +1,10 @@
 //! Checkpointing of exploration runs.
 //!
-//! A checkpoint is the portable part of an exploration's memoized state:
-//! the set of completed throughput evaluations (distribution → throughput
-//! and reduced-state count). Restoring it via
+//! A checkpoint is the portable part of an exploration's state: the set
+//! of completed throughput evaluations (distribution → throughput and
+//! reduced-state count). Restoring it via
 //! [`ExploreOptions::warm_start`](crate::ExploreOptions::warm_start)
-//! replays each entry as a recorded evaluation on first request, so a
+//! replays each entry as a recorded evaluation on request, so a
 //! resumed run reproduces the Pareto front *and* the statistics of an
 //! uninterrupted one byte for byte.
 //!

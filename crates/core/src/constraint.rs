@@ -98,7 +98,7 @@ pub fn min_storage_for_throughput_for<M: DataflowSemantics + Sync>(
 }
 
 /// [`min_storage_for_throughput_for`] with a structured [`ExploreObserver`]
-/// receiving evaluation, cache-hit and phase events; returns the full
+/// receiving evaluation and phase events; returns the full
 /// [`ConstraintResult`] with statistics and completeness.
 ///
 /// When a cancel token trips after a feasible witness is in hand, the
@@ -156,28 +156,19 @@ pub fn min_storage_for_throughput_observed<M: DataflowSemantics + Sync>(
         .map(|r| r.phase_span(SearchPhase::ConstraintSearch.name()));
 
     // Decide "size S meets the constraint" with early exit; remember the
-    // best witness per feasible size. Candidates the prune oracle proves
-    // strictly below the constraint are skipped without simulation —
-    // infeasibility-only pruning, so the first feasible candidate (and
-    // with it the witness) is exactly the one the unpruned search finds:
-    // a sound proof of `t < constraint` can never exist for it.
+    // best witness per feasible size.
     let decide = |size: u64| -> Result<Option<ParetoPoint>, ExploreError> {
         let mut hit: Option<ParetoPoint> = None;
         let mut error: Option<ExploreError> = None;
-        space.for_each_of_size(size, |d| {
-            if eval.prunes_below(&d, &constraint) {
-                return ControlFlow::Continue(());
+        space.for_each_of_size(size, |d| match eval.eval(&d) {
+            Ok(t) if t >= constraint => {
+                hit = Some(eval.point(d, t));
+                ControlFlow::Break(())
             }
-            match eval.eval(&d) {
-                Ok(t) if t >= constraint => {
-                    hit = Some(eval.point(d, t));
-                    ControlFlow::Break(())
-                }
-                Ok(_) => ControlFlow::Continue(()),
-                Err(e) => {
-                    error = Some(e);
-                    ControlFlow::Break(())
-                }
+            Ok(_) => ControlFlow::Continue(()),
+            Err(e) => {
+                error = Some(e);
+                ControlFlow::Break(())
             }
         });
         match error {
@@ -298,53 +289,6 @@ mod tests {
         // A constraint strictly between two levels needs the higher level.
         let p = min_storage_for_throughput(&g, Rational::new(3, 20), &opts).unwrap();
         assert_eq!(p.size, 8);
-    }
-
-    #[test]
-    fn pruning_preserves_the_witness_and_skips_work() {
-        let g = example();
-        for (thr, size) in [
-            (Rational::new(1, 6), 8),
-            (Rational::new(1, 4), 10),
-            (Rational::new(3, 20), 8),
-        ] {
-            let pruned = min_storage_for_throughput_observed(
-                &g,
-                thr,
-                &ExploreOptions::default(),
-                &NoopObserver,
-            )
-            .unwrap();
-            let unpruned = min_storage_for_throughput_observed(
-                &g,
-                thr,
-                &ExploreOptions {
-                    static_prune: false,
-                    ..ExploreOptions::default()
-                },
-                &NoopObserver,
-            )
-            .unwrap();
-            // Identical witness point — same distribution, same exact
-            // throughput — with provably less work.
-            assert_eq!(pruned.point, unpruned.point, "constraint {thr}");
-            assert_eq!(pruned.point.size, size);
-            assert_eq!(
-                unpruned.stats.static_prunes + unpruned.stats.dominance_prunes,
-                0
-            );
-            assert!(
-                pruned.stats.static_prunes + pruned.stats.dominance_prunes > 0,
-                "constraint {thr}: oracle never fired: {:?}",
-                pruned.stats
-            );
-            assert!(
-                pruned.stats.evaluations < unpruned.stats.evaluations,
-                "constraint {thr}: {} vs {}",
-                pruned.stats.evaluations,
-                unpruned.stats.evaluations
-            );
-        }
     }
 
     #[test]

@@ -40,19 +40,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// [`explore_design_space`](crate::explore_design_space); the `threads`
 /// option is ignored (the frontier is evaluated sequentially) and
 /// `quantum` only thins the reported front. Evaluations run through the
-/// same `EvalPipeline` as the exhaustive search: bound probes are
-/// cached (a frontier candidate landing on a probed distribution is a
-/// cache hit, not a re-analysis), checkpointed `warm_start` throughputs
-/// are replayed, cold analyses warm-start from cached neighbours, and
-/// the static-certificate / dominance prune oracle skips candidates it
-/// can prove deadlocked (deriving their children from the deadlock
-/// replay). Once an accepted point reaches the graph's maximal
-/// throughput — at a size no larger than any queued candidate, by the
-/// size-ordered frontier — the remaining frontier is provably dominated
-/// and drained through the oracle: one cheap certificate replaces each
-/// state-space analysis the unpruned search would have run. A cancel
-/// token is honoured between frontier candidates (and inside the
-/// bounds-phase analyses): when it trips, the unexpanded frontier is
+/// same `EvalPipeline` as the exhaustive search, and checkpointed
+/// `warm_start` throughputs are replayed. Once an accepted point reaches
+/// the graph's maximal throughput — at a size no larger than any queued
+/// candidate, by the size-ordered frontier — the remaining frontier is
+/// provably dominated and drained without analysis, each candidate
+/// reported as a [`PruneKind::Dominance`](crate::PruneKind::Dominance)
+/// prune. A cancel token is honoured between frontier candidates (and
+/// inside the analyses): when it trips, the unexpanded frontier is
 /// reported as skipped sizes on a partial result.
 ///
 /// # Errors
@@ -131,10 +126,9 @@ pub fn explore_dependency_guided_observed<M: DataflowSemantics + Sync>(
     let skipped_ub = guided_skip_counter("ub-size");
     let skipped_caps = guided_skip_counter("channel-cap");
     // Bound probes run the plain throughput analysis (no dependency
-    // tracking) through the shared memoised evaluator: timed, counted,
-    // observed, cached and recorded in the prune oracle like every other
-    // evaluation. Cancellation here leaves nothing to salvage and
-    // surfaces as [`ExploreError::Cancelled`].
+    // tracking) through the shared evaluator: timed, counted and observed
+    // like every other evaluation. Cancellation here leaves nothing to
+    // salvage and surfaces as [`ExploreError::Cancelled`].
     observer.phase_started(SearchPhase::Bounds);
     let bounds_span = recorder
         .as_ref()
@@ -174,9 +168,8 @@ pub fn explore_dependency_guided_observed<M: DataflowSemantics + Sync>(
     // maximal achievable throughput, no remaining candidate can enter
     // the front (entering requires strictly greater throughput than
     // every no-larger point, and `thr_max_graph` bounds every
-    // distribution) — the rest of the frontier is drained through the
-    // prune oracle, one cheap certificate in place of each state-space
-    // analysis the unpruned search would have run.
+    // distribution) — the rest of the frontier is drained without
+    // analysis.
     let mut best = Rational::ZERO;
 
     while let Some(&Reverse((size, _))) = frontier.peek() {
@@ -191,75 +184,51 @@ pub fn explore_dependency_guided_observed<M: DataflowSemantics + Sync>(
             unreachable!("peeked entry vanished");
         };
         if !best.is_zero() && best >= thr_max_graph {
-            // Ceiling drain. The candidate is dominated whatever the
-            // oracle says (see `best` above); consulting it anyway
-            // attributes the skipped analysis to the certificate — which
-            // always proves `≤ thr_max_graph` here, since the augmented
-            // expansion contains every cycle of the plain one — and no
-            // children are needed (they are dominated for the same
-            // reason). Pruning *before* the ceiling is not attempted: a
-            // pruned candidate's dependent set is unknown without an
-            // analysis, and growing every channel instead explodes
-            // combinatorially on wide graphs.
-            let _ = eval.prunes_at_most(&dist, &best);
+            // Ceiling drain: the candidate and its children are dominated
+            // (see `best` above), so none of them needs an analysis.
+            eval.note_drained(&dist);
             continue;
         }
-        // A statically proven deadlock skips the state-space analysis
-        // entirely: the candidate contributes no front point (its
-        // throughput is exactly zero), and its children come from the
-        // deadlock replay below — the same channels the full analysis
-        // would have reported as storage-dependent.
-        let entry = if eval.prunes_zero(&dist) {
-            None
-        } else {
-            let entry = eval.eval_full(&dist)?;
-            if entry.failed {
-                // A panicking analysis degrades to a zero-throughput leaf:
-                // recorded and reported by the evaluator, no children
-                // expanded.
-                continue;
+        let entry = eval.eval_full(&dist)?;
+        if entry.failed {
+            // A panicking analysis degrades to a zero-throughput leaf:
+            // recorded and reported by the evaluator, no children
+            // expanded.
+            continue;
+        }
+        let thr = entry.throughput;
+        if !thr.is_zero() {
+            found_positive = true;
+            if thr > best {
+                best = thr;
             }
-            Some(entry)
-        };
-
-        if let Some(entry) = &entry {
-            let thr = entry.throughput;
-            if !thr.is_zero() {
-                found_positive = true;
-                if thr > best {
-                    best = thr;
+            let p = eval.point(dist.clone(), thr);
+            if pareto.insert(p.clone()) {
+                observer.pareto_accepted(&p);
+                if let Some(r) = &recorder {
+                    r.trace_instant("pareto");
                 }
-                let p = eval.point(dist.clone(), thr);
-                if pareto.insert(p.clone()) {
-                    observer.pareto_accepted(&p);
-                    if let Some(r) = &recorder {
-                        r.trace_instant("pareto");
-                    }
-                }
-                if thr >= thr_cap {
-                    continue; // growing further cannot be Pareto-optimal
-                }
+            }
+            if thr >= thr_cap {
+                continue; // growing further cannot be Pareto-optimal
             }
         }
 
-        // Storage-dependency query. The memoised entry's cycle metadata
-        // lets a deterministic replay of the recorded run answer it
-        // without re-running the state-space search; entries without that
-        // metadata (checkpointed warm-start throughputs) fall back to the
-        // full dependency analysis. A panic in either path degrades the
-        // candidate to a leaf.
-        let (deadlocked, cycle_entry_time, period, has_meta) = match &entry {
-            Some(e) => (
-                e.deadlocked,
-                e.cycle_entry_time,
-                e.period,
-                e.has_replay_meta,
-            ),
-            None => (true, 0, 0, true),
-        };
-        let dependent: Vec<bool> = if has_meta {
+        // Storage-dependency query. The record's cycle metadata lets a
+        // deterministic replay of the recorded run answer it without
+        // re-running the state-space search; records without that
+        // metadata (checkpoint replays) fall back to the full dependency
+        // analysis. A panic in either path degrades the candidate to a
+        // leaf.
+        let dependent: Vec<bool> = if entry.has_replay_meta {
             match catch_unwind(AssertUnwindSafe(|| {
-                dependencies_from_run_for(model, &dist, deadlocked, cycle_entry_time, period)
+                dependencies_from_run_for(
+                    model,
+                    &dist,
+                    entry.deadlocked,
+                    entry.cycle_entry_time,
+                    entry.period,
+                )
             })) {
                 Ok(deps) => deps?,
                 Err(_) => continue,

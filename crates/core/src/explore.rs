@@ -18,9 +18,8 @@
 //!   decoder's many Pareto points) and optional multi-threaded evaluation.
 //!
 //! Candidate evaluations run through the exploration runtime
-//! ([`crate::runtime`]): a sharded memo cache, atomic statistics
-//! ([`ExplorationStats`]) and a structured [`ExploreObserver`] event
-//! stream. Candidates are consumed in fixed-size chunks regardless of the
+//! ([`crate::runtime`]): atomic statistics ([`ExplorationStats`]) and a
+//! structured [`ExploreObserver`] event stream. Candidates are consumed in fixed-size chunks regardless of the
 //! thread count, so the set of evaluated distributions — and every
 //! reported statistic — is identical whether the search runs on one
 //! thread or many.
@@ -92,26 +91,17 @@ pub struct ExploreOptions {
     /// error — except when cancelled before anything was established,
     /// which yields [`ExploreError::Cancelled`].
     pub cancel: Option<Arc<CancelToken>>,
-    /// Evaluations restored from a checkpoint. On first request each entry
+    /// Evaluations restored from a checkpoint. On each request an entry
     /// is replayed as a *recorded evaluation* (with its checkpointed state
-    /// count and zero wall time), not a cache hit — so a resumed run
-    /// reproduces the front and the statistics of an uninterrupted one.
+    /// count and zero wall time) — so a resumed run reproduces the front
+    /// and the statistics of an uninterrupted one.
     pub warm_start: Option<Arc<WarmStart>>,
-    /// Whether cold analyses may warm-start from a neighbouring
-    /// distribution's cached record: the neighbour's state count
-    /// pre-sizes the analysis arena (see the `pipeline` module). Purely an
-    /// allocation-layer optimization — fronts and deterministic
-    /// statistics are byte-identical with it on or off — so this toggle
-    /// (`--no-warm-start` on the CLI) exists for cross-checking and
-    /// measurement.
+    /// Has no effect; retained for API compatibility. Analyses no longer
+    /// warm-start from a neighbouring distribution.
     pub warm_start_neighbours: bool,
-    /// Whether the prune oracle may skip candidate evaluations it can
-    /// decide without simulation: static capacity-aware cycle-ratio
-    /// certificates plus monotone dominance records. Pruning is
-    /// exactness-preserving — the front is byte-identical with it on or
-    /// off, only [`ExplorationStats::evaluations`] shrinks — so this
-    /// toggle exists for cross-checking and measurement
-    /// (`--no-static-prune` on the CLI).
+    /// Has no effect; retained for API compatibility. Every enumerated
+    /// candidate is analysed: no static certificate or dominance record
+    /// skips it.
     pub static_prune: bool,
     /// Test hook: the evaluation of exactly this distribution panics
     /// inside the worker, exercising the panic-containment path. Not for
@@ -176,8 +166,8 @@ pub struct ExplorationResult {
     /// Evaluations that panicked and were degraded to zero-throughput
     /// entries instead of aborting the run, in distribution order.
     pub failures: Vec<EvaluationFailure>,
-    /// Evaluation statistics: analyses run, cache hits, largest state
-    /// space, analysis wall time.
+    /// Evaluation statistics: analyses run, largest state space,
+    /// analysis wall time.
     pub stats: ExplorationStats,
 }
 
@@ -200,14 +190,6 @@ fn q(t: Rational, quantum: Option<Rational>) -> Rational {
 /// boundaries — for every thread count, including sequential runs, so
 /// the evaluated set (and with it the statistics) does not depend on
 /// `threads`.
-///
-/// At each chunk boundary the prune oracle filters candidates it can
-/// prove no better than the running best: such a candidate cannot update
-/// the best (updates require strictly greater throughput) nor become the
-/// witness, so dropping it is exact. Chunks are aligned on the
-/// enumeration count, not the evaluation count, which keeps boundaries —
-/// and with them the dominance records visible to each decision —
-/// independent of how many candidates were pruned.
 fn max_throughput_for_size<M: DataflowSemantics + Sync>(
     eval: &EvalPipeline<'_, M>,
     space: &DistributionSpace,
@@ -226,7 +208,6 @@ fn max_throughput_for_size<M: DataflowSemantics + Sync>(
                    best_q: &mut Rational,
                    witness: &mut Option<StorageDistribution>|
      -> Result<bool, ExploreError> {
-        buf.retain(|d| !eval.prunes_at_most(d, best));
         let results = eval.eval_batch(buf)?;
         for (d, t) in buf.drain(..).zip(results) {
             if t > *best {
@@ -290,11 +271,6 @@ pub(crate) fn salvage<T>(
 
 /// Whether some grid distribution of exactly `size` tokens has positive
 /// throughput (early exits on the first hit).
-///
-/// The oracle short-circuits both ways — a positive proof answers `true`
-/// without evaluating, a zero proof skips the candidate — and both are
-/// exact consequences of results the engine already produced, so the
-/// boolean is identical with pruning on or off.
 fn has_positive<M: DataflowSemantics + Sync>(
     eval: &EvalPipeline<'_, M>,
     space: &DistributionSpace,
@@ -302,24 +278,15 @@ fn has_positive<M: DataflowSemantics + Sync>(
 ) -> Result<bool, ExploreError> {
     let mut found = false;
     let mut error: Option<ExploreError> = None;
-    space.for_each_of_size(size, |d| {
-        if eval.proves_positive(&d) {
+    space.for_each_of_size(size, |d| match eval.eval(&d) {
+        Ok(t) if !t.is_zero() => {
             found = true;
-            return ControlFlow::Break(());
+            ControlFlow::Break(())
         }
-        if eval.prunes_zero(&d) {
-            return ControlFlow::Continue(());
-        }
-        match eval.eval(&d) {
-            Ok(t) if !t.is_zero() => {
-                found = true;
-                ControlFlow::Break(())
-            }
-            Ok(_) => ControlFlow::Continue(()),
-            Err(e) => {
-                error = Some(e);
-                ControlFlow::Break(())
-            }
+        Ok(_) => ControlFlow::Continue(()),
+        Err(e) => {
+            error = Some(e);
+            ControlFlow::Break(())
         }
     });
     match error {
@@ -390,8 +357,8 @@ pub fn explore_design_space_for<M: DataflowSemantics + Sync>(
 }
 
 /// [`explore_design_space_for`] with a structured [`ExploreObserver`]
-/// receiving evaluation, cache-hit, Pareto-accept and phase-transition
-/// events as the search runs.
+/// receiving evaluation, Pareto-accept and phase-transition events as
+/// the search runs.
 ///
 /// # Errors
 ///
@@ -438,7 +405,7 @@ pub fn explore_design_space_observed<M: DataflowSemantics + Sync>(
     };
 
     // Bounds of the size dimension (paper §8, Fig. 7). The probes run
-    // through the shared evaluator: memoized, counted, observed.
+    // through the shared evaluator: counted and observed.
     // Cancellation in this phase leaves nothing to salvage (no throughput
     // ceiling, no size range) and surfaces as `ExploreError::Cancelled`.
     observer.phase_started(SearchPhase::Bounds);
@@ -672,7 +639,6 @@ pub fn explore_design_space_observed<M: DataflowSemantics + Sync>(
 mod tests {
     use super::*;
     use crate::pareto::ParetoPoint;
-    use crate::runtime::PruneKind;
     use std::sync::Mutex;
 
     fn example() -> SdfGraph {
@@ -715,21 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn memoization_is_observable() {
-        // The size-dimension binary search and the per-size sweeps revisit
-        // distributions: the cache must absorb the repeats, so analyses run
-        // (evaluations) stay strictly below total requests.
-        let g = example();
-        let r = explore_design_space(&g, &ExploreOptions::default()).unwrap();
-        assert!(
-            r.stats.cache_hits > 0,
-            "exploration should revisit distributions"
-        );
-        assert!(r.stats.cache_hit_rate() > 0.0);
-        assert!(r.stats.eval_nanos > 0);
-    }
-
-    #[test]
     fn parallel_matches_sequential() {
         let g = example();
         let seq = explore_design_space(&g, &ExploreOptions::default()).unwrap();
@@ -752,106 +703,6 @@ mod tests {
         // The statistics are deterministic across thread counts: the
         // chunked evaluation requests exactly the same distributions.
         assert_eq!(seq.stats, par.stats);
-    }
-
-    /// A cyclic graph (repetition vector (3, 6, 2)): exercises the
-    /// certificate pass on feedback structure beyond the pipeline example.
-    fn ring() -> SdfGraph {
-        let mut b = SdfGraph::builder("ring");
-        let x = b.actor("x", 1);
-        let y = b.actor("y", 2);
-        let z = b.actor("z", 1);
-        b.channel("c1", x, 2, y, 1).unwrap();
-        b.channel("c2", y, 1, z, 3).unwrap();
-        b.channel_with_tokens("c3", z, 3, x, 2, 6).unwrap();
-        b.build().unwrap()
-    }
-
-    /// The paper's Fig. 6 bipartite graph: an a↔b cycle plus a pipeline
-    /// tail. Its per-size sweeps span several evaluation chunks, which is
-    /// where the static certificates get to skip work.
-    fn bipartite() -> SdfGraph {
-        let mut b = SdfGraph::builder("bipartite");
-        let a = b.actor("a", 1);
-        let bb = b.actor("b", 1);
-        let c = b.actor("c", 1);
-        let d = b.actor("d", 1);
-        b.channel_with_tokens("alpha", a, 1, bb, 1, 1).unwrap();
-        b.channel_with_tokens("beta", bb, 1, a, 1, 1).unwrap();
-        b.channel("gamma", bb, 1, c, 1).unwrap();
-        b.channel("delta", c, 1, d, 1).unwrap();
-        b.build().unwrap()
-    }
-
-    /// The tentpole invariant: the prune oracle is exactness-preserving.
-    /// The front (points, sizes, throughputs, witnesses) is byte-identical
-    /// with pruning on or off, at one thread and at four — only the
-    /// amount of work differs.
-    #[test]
-    fn pruning_preserves_the_front_and_skips_evaluations() {
-        for (name, g) in [
-            ("example", example()),
-            ("ring", ring()),
-            ("bipartite", bipartite()),
-        ] {
-            let pruned = explore_design_space(&g, &ExploreOptions::default()).unwrap();
-            let unpruned = explore_design_space(
-                &g,
-                &ExploreOptions {
-                    static_prune: false,
-                    ..ExploreOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(pruned.pareto, unpruned.pareto, "{name}");
-            assert_eq!(pruned.max_throughput, unpruned.max_throughput, "{name}");
-            assert_eq!(pruned.lower_bound_size, unpruned.lower_bound_size, "{name}");
-            assert!(pruned.completeness.exact && unpruned.completeness.exact);
-            assert_eq!(unpruned.stats.static_prunes, 0);
-            assert_eq!(unpruned.stats.dominance_prunes, 0);
-            assert!(
-                pruned.stats.evaluations <= unpruned.stats.evaluations,
-                "{name}: pruning added work"
-            );
-
-            // Thread count changes neither the fronts nor the statistics,
-            // in either mode.
-            for static_prune in [true, false] {
-                let reference = if static_prune { &pruned } else { &unpruned };
-                let par = explore_design_space(
-                    &g,
-                    &ExploreOptions {
-                        static_prune,
-                        threads: 4,
-                        ..ExploreOptions::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(par.pareto, reference.pareto, "{name}/{static_prune}");
-                assert_eq!(par.stats, reference.stats, "{name}/{static_prune}");
-            }
-        }
-
-        // On the bipartite graph the oracle provably skips work: its
-        // sweeps span several chunks, so later chunks get filtered
-        // against the running best once one is established.
-        let pruned = explore_design_space(&bipartite(), &ExploreOptions::default()).unwrap();
-        let unpruned = explore_design_space(
-            &bipartite(),
-            &ExploreOptions {
-                static_prune: false,
-                ..ExploreOptions::default()
-            },
-        )
-        .unwrap();
-        let prunes = pruned.stats.static_prunes + pruned.stats.dominance_prunes;
-        assert!(prunes > 0, "oracle never fired: {:?}", pruned.stats);
-        assert!(
-            pruned.stats.evaluations < unpruned.stats.evaluations,
-            "pruning saved nothing: {} vs {}",
-            pruned.stats.evaluations,
-            unpruned.stats.evaluations
-        );
     }
 
     #[test]
@@ -878,10 +729,8 @@ mod tests {
         struct Counting {
             evals: AtomicU64,
             finished: AtomicU64,
-            hits: AtomicU64,
             accepted: AtomicU64,
             phases: AtomicU64,
-            pruned: AtomicU64,
         }
         impl ExploreObserver for Counting {
             fn phase_started(&self, _phase: SearchPhase) {
@@ -899,14 +748,8 @@ mod tests {
             ) {
                 self.finished.fetch_add(1, Ordering::Relaxed);
             }
-            fn cache_hit(&self, _dist: &StorageDistribution) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            }
             fn pareto_accepted(&self, _point: &ParetoPoint) {
                 self.accepted.fetch_add(1, Ordering::Relaxed);
-            }
-            fn distribution_pruned(&self, _dist: &StorageDistribution, _kind: PruneKind) {
-                self.pruned.fetch_add(1, Ordering::Relaxed);
             }
         }
 
@@ -916,11 +759,6 @@ mod tests {
         // Observer totals match the reported statistics exactly.
         assert_eq!(obs.evals.load(Ordering::Relaxed), r.stats.evaluations);
         assert_eq!(obs.finished.load(Ordering::Relaxed), r.stats.evaluations);
-        assert_eq!(obs.hits.load(Ordering::Relaxed), r.stats.cache_hits);
-        assert_eq!(
-            obs.pruned.load(Ordering::Relaxed),
-            r.stats.static_prunes + r.stats.dominance_prunes
-        );
         // Every front point was announced (evicted points may add more).
         assert!(obs.accepted.load(Ordering::Relaxed) >= r.pareto.len() as u64);
         // Bounds, minimal-size and front-search phases at least.
@@ -993,42 +831,6 @@ mod tests {
         assert!(r.completeness.exact);
         assert_eq!(r.pareto, full.pareto);
         assert_eq!(r.stats, full.stats);
-    }
-
-    #[test]
-    fn neighbour_warm_start_changes_nothing_but_counters() {
-        // The arena warm start is allocation-layer only: front and
-        // deterministic statistics are byte-identical with it on or off,
-        // sequentially and in parallel. Only the (eq-excluded) warm-start
-        // counters differ.
-        let g = example();
-        for threads in [1, 4] {
-            let warm = explore_design_space(
-                &g,
-                &ExploreOptions {
-                    threads,
-                    ..ExploreOptions::default()
-                },
-            )
-            .unwrap();
-            let cold = explore_design_space(
-                &g,
-                &ExploreOptions {
-                    threads,
-                    warm_start_neighbours: false,
-                    ..ExploreOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(warm.pareto, cold.pareto, "threads {threads}");
-            assert_eq!(warm.stats, cold.stats, "threads {threads}");
-            assert_eq!(cold.stats.warm_starts, 0);
-            assert_eq!(cold.stats.warm_start_states, 0);
-            assert!(
-                warm.stats.warm_starts > 0,
-                "threads {threads}: no analysis was neighbour-seeded"
-            );
-        }
     }
 
     #[test]

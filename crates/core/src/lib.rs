@@ -19,8 +19,8 @@
 //! - [`ParetoSet`] / [`ParetoPoint`]: the resulting front (Figs. 5, 13);
 //! - [`ExplorationStats`] / [`ExploreObserver`]: the exploration runtime's
 //!   unified statistics and structured event stream — the `_observed`
-//!   entry points stream evaluation, cache-hit, Pareto-accept and
-//!   search-phase events while a search runs.
+//!   entry points stream evaluation, Pareto-accept and search-phase
+//!   events while a search runs.
 //!
 //! Every driver is written once against the unified kernel's
 //! [`DataflowSemantics`](buffy_analysis::DataflowSemantics) trait — the
@@ -72,7 +72,6 @@ mod live;
 mod objective;
 mod pareto;
 mod pipeline;
-mod prune;
 mod runtime;
 
 pub use bounds::{

@@ -101,12 +101,6 @@ impl ExploreObserver for TeeObserver<'_> {
         }
     }
 
-    fn cache_hit(&self, dist: &StorageDistribution) {
-        for s in &self.sinks {
-            s.cache_hit(dist);
-        }
-    }
-
     fn evaluation_failed(&self, dist: &StorageDistribution, message: &str) {
         for s in &self.sinks {
             s.evaluation_failed(dist, message);
@@ -138,8 +132,6 @@ pub struct LiveStats {
     started: Instant,
     phase: AtomicUsize,
     evaluations: AtomicU64,
-    cache_hits: AtomicU64,
-    static_prunes: AtomicU64,
     dominance_prunes: AtomicU64,
     failures: AtomicU64,
     accepted: AtomicU64,
@@ -177,8 +169,6 @@ impl LiveStats {
             started: Instant::now(),
             phase: AtomicUsize::new(PHASE_NONE),
             evaluations: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            static_prunes: AtomicU64::new(0),
             dominance_prunes: AtomicU64::new(0),
             failures: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
@@ -198,22 +188,12 @@ impl LiveStats {
         phase_name_of(self.phase.load(Ordering::Relaxed))
     }
 
-    /// Completed throughput analyses (cache misses that ran).
+    /// Completed throughput analyses.
     pub fn evaluations(&self) -> u64 {
         self.evaluations.load(Ordering::Relaxed)
     }
 
-    /// Evaluation requests answered from the memo cache.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Candidates decided by a static cycle-ratio certificate.
-    pub fn static_prunes(&self) -> u64 {
-        self.static_prunes.load(Ordering::Relaxed)
-    }
-
-    /// Candidates decided by throughput monotonicity.
+    /// Candidates skipped because an accepted point dominates them.
     pub fn dominance_prunes(&self) -> u64 {
         self.dominance_prunes.load(Ordering::Relaxed)
     }
@@ -273,12 +253,7 @@ pub enum LiveEvent {
         /// Analysis wall time in nanoseconds.
         nanos: u64,
     },
-    /// An evaluation request was answered from the memo cache.
-    CacheHit {
-        /// Per-channel capacities of the requested distribution.
-        capacities: Vec<u64>,
-    },
-    /// The prune oracle skipped a candidate without analysing it.
+    /// A driver skipped a candidate without analysing it.
     Pruned {
         /// Per-channel capacities of the skipped distribution.
         capacities: Vec<u64>,
@@ -314,7 +289,6 @@ impl LiveEvent {
         match self {
             LiveEvent::Phase { .. } => "phase",
             LiveEvent::Evaluation { .. } => "evaluation",
-            LiveEvent::CacheHit { .. } => "cache-hit",
             LiveEvent::Pruned { .. } => "pruned",
             LiveEvent::Pareto { .. } => "pareto",
             LiveEvent::Failed { .. } => "evaluation-failed",
@@ -486,13 +460,6 @@ impl ExploreObserver for LiveObserver {
         });
     }
 
-    fn cache_hit(&self, dist: &StorageDistribution) {
-        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        self.ring.push(LiveEvent::CacheHit {
-            capacities: dist.as_slice().to_vec(),
-        });
-    }
-
     fn evaluation_failed(&self, dist: &StorageDistribution, message: &str) {
         self.stats.failures.fetch_add(1, Ordering::Relaxed);
         self.ring.push(LiveEvent::Failed {
@@ -515,10 +482,9 @@ impl ExploreObserver for LiveObserver {
     }
 
     fn distribution_pruned(&self, dist: &StorageDistribution, kind: PruneKind) {
-        match kind {
-            PruneKind::Static => self.stats.static_prunes.fetch_add(1, Ordering::Relaxed),
-            PruneKind::Dominance => self.stats.dominance_prunes.fetch_add(1, Ordering::Relaxed),
-        };
+        if kind == PruneKind::Dominance {
+            self.stats.dominance_prunes.fetch_add(1, Ordering::Relaxed);
+        }
         self.ring.push(LiveEvent::Pruned {
             capacities: dist.as_slice().to_vec(),
             kind: kind.name(),
@@ -577,8 +543,6 @@ mod tests {
         let live = LiveObserver::new();
         live.phase_started(SearchPhase::FrontSearch);
         live.evaluation_finished(&dist(&[1, 1]), Rational::new(1, 3), 5, 100);
-        live.cache_hit(&dist(&[1, 1]));
-        live.distribution_pruned(&dist(&[2, 1]), PruneKind::Static);
         live.distribution_pruned(&dist(&[2, 2]), PruneKind::Dominance);
         live.evaluation_failed(&dist(&[3, 1]), "boom");
         live.pareto_accepted(&ParetoPoint::new(dist(&[1, 1]), Rational::new(1, 3)));
@@ -586,8 +550,6 @@ mod tests {
         let stats = live.stats();
         assert_eq!(stats.phase_name(), Some("front-search"));
         assert_eq!(stats.evaluations(), 1);
-        assert_eq!(stats.cache_hits(), 1);
-        assert_eq!(stats.static_prunes(), 1);
         assert_eq!(stats.dominance_prunes(), 1);
         assert_eq!(stats.failures(), 1);
         assert_eq!(stats.pareto_accepted(), 1);
@@ -601,8 +563,6 @@ mod tests {
             vec![
                 "phase",
                 "evaluation",
-                "cache-hit",
-                "pruned",
                 "pruned",
                 "evaluation-failed",
                 "pareto"

@@ -15,9 +15,7 @@
 //! The energy axis is derived from the throughput axis through the
 //! precomputed [`EnergyModel`](buffy_analysis::EnergyModel) and is
 //! monotone non-increasing in it; consequently the default
-//! storage/throughput fronts are unchanged by the refactor and the prune
-//! oracle's throughput-only bounds remain sound (see
-//! [`prune`](crate::prune)). Latency can be declared for reporting; it is
+//! storage/throughput fronts are unchanged by the refactor. Latency can be declared for reporting; it is
 //! annotated onto the finished front by the CLI rather than evaluated
 //! per candidate, and never participates in dominance.
 

@@ -1,97 +1,61 @@
-//! The incremental evaluation pipeline shared by every exploration
-//! driver.
+//! The evaluation pipeline shared by every exploration driver.
 //!
-//! Each candidate storage distribution flows through the same four
-//! stages, in order:
+//! Each candidate storage distribution takes one of two paths:
 //!
-//! 1. **Memo lookup** — the sharded cache ([`ShardedCache`]) answers
-//!    repeats without re-analysis;
-//! 2. **Certificate pruning** — the [`PruneOracle`]'s static
-//!    cycle-ratio certificates and monotone dominance records decide
-//!    candidates without simulation (queried by the drivers through the
-//!    `prunes_*` methods, only at deterministic decision points);
-//! 3. **Warm start** — a neighbouring distribution's eval record
-//!    (one channel, ± one step) pre-sizes the analysis arena, and a
-//!    pooled [`AnalysisWorkspace`] is reused instead of reallocated;
-//! 4. **Cold engine run** — the reduced-state-space analysis proper,
-//!    panic-contained and cancellation-aware.
+//! 1. **Checkpoint replay** — a distribution restored from a checkpoint
+//!    ([`ExploreOptions::warm_start`]) is replayed as a recorded
+//!    evaluation, with its checkpointed state count and zero wall time;
+//! 2. **Engine run** — otherwise the reduced-state-space analysis runs
+//!    on a pooled [`AnalysisWorkspace`], panic-contained and
+//!    cancellation-aware.
 //!
-//! Telemetry, statistics, checkpoint-replay and failure containment are
-//! attached here exactly once; the drivers (`explore`, `dependency`,
-//! `constraint`, and `buffy-csdf`'s wrappers) are thin consumers.
-//!
-//! # Warm-start soundness
-//!
-//! The self-timed execution of a dataflow graph under fixed capacities is
-//! deterministic: the sequence of states the analysis visits — and hence
-//! the throughput, the cycle metadata, and the number of reduced states —
-//! is a function of the model and the distribution alone. The warm start
-//! only seeds *memory layout*: the interner's table size and the
-//! bookkeeping vectors' capacities. No computed value can depend on it,
-//! so fronts and [`ExplorationStats`]' deterministic counters are
-//! byte-identical with warm-starting on or off, at any thread count. The
-//! `warm_starts`/`warm_start_states` counters themselves are
-//! timing-dependent (a neighbour must already be cached to seed) and are
-//! therefore excluded from `ExplorationStats` equality, like wall time.
+//! There is no memo and no pruning: every request runs (or replays) one
+//! analysis, exactly as the paper's exploration runs one state-space
+//! analysis per candidate (§9). Telemetry, statistics, checkpoint replay
+//! and failure containment are attached here exactly once; the drivers
+//! (`explore`, `dependency`, `constraint`, and `buffy-csdf`'s wrappers)
+//! are thin consumers.
 
 use crate::error::ExploreError;
 use crate::explore::{ExploreOptions, WarmStart};
 use crate::fault::{FaultPlan, FaultSite};
 use crate::objective::ObjectiveKind;
 use crate::pareto::{ParetoPoint, ParetoSet};
-use crate::prune::PruneOracle;
 use crate::runtime::{
-    resolve_threads, AtomicStats, CachedEval, EvaluationFailure, ExplorationStats, ExploreObserver,
-    PruneKind, ShardedCache,
+    resolve_threads, AtomicStats, EvaluationFailure, ExplorationStats, ExploreObserver, PruneKind,
 };
 use buffy_analysis::{
     throughput_for_reusing, AnalysisWorkspace, CancelReason, CancelToken, Capacities,
-    DataflowSemantics, EnergyModel, ExplorationLimits, StaticBounds,
+    DataflowSemantics, EnergyModel, ExplorationLimits,
 };
-use buffy_graph::{ActorId, ChannelId, Rational, StorageDistribution};
-use buffy_telemetry::{labeled, names};
+use buffy_graph::{ActorId, Rational, StorageDistribution};
+use buffy_telemetry::names;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// The shared evaluation pipeline: memoization, pruning, warm-starting
-/// and statistics behind one interface, generic over the model class.
+/// The shared evaluation pipeline: checkpoint replay, engine runs and
+/// statistics behind one interface, generic over the model class.
 ///
-/// The memo cache is sharded ([`ShardedCache`]) and all counters are
-/// atomics ([`AtomicStats`]): concurrent workers never serialize on a
-/// whole-cache lock, and the only mutex footprint on the hot path is the
-/// per-shard lock guarding an individual `HashMap` plus one pop/push on
-/// the workspace pool.
+/// All counters are atomics ([`AtomicStats`]); the only mutex footprint
+/// on the hot path is one pop/push on the workspace pool.
 pub(crate) struct EvalPipeline<'a, M: DataflowSemantics + Sync> {
     model: &'a M,
     observed: ActorId,
     limits: ExplorationLimits,
-    cache: ShardedCache<StorageDistribution, CachedEval>,
     stats: AtomicStats,
     threads: usize,
     observer: &'a dyn ExploreObserver,
     cancel: Arc<CancelToken>,
-    warm_start: Option<Arc<WarmStart>>,
+    /// Checkpointed evaluations, replayed instead of re-run.
+    checkpoint: Option<Arc<WarmStart>>,
     fail_distribution: Option<StorageDistribution>,
     /// Deterministic fault schedule ([`crate::fault`]); `None` in
     /// production, where every hook is a single untaken branch.
     faults: Option<Arc<FaultPlan>>,
     failures: Mutex<Vec<EvaluationFailure>>,
     telemetry: Option<EvalTelemetry>,
-    shard_stats_published: AtomicBool,
-    /// Static-certificate + dominance prune oracle ([`crate::prune`]).
-    /// Genuine results are recorded as they land; proofs are only queried
-    /// from the driver thread between evaluation chunks, so decisions are
-    /// deterministic across thread counts.
-    oracle: PruneOracle,
-    /// Whether cold runs may seed their arena from a neighbouring
-    /// distribution's cached record (`--no-warm-start` turns this off;
-    /// results are identical either way).
-    warm_neighbours: bool,
-    /// Per-channel capacity step sizes, indexed by channel: a candidate's
-    /// warm-start neighbours differ by exactly one step on one channel.
-    neighbour_steps: Vec<u64>,
     /// Pool of reusable analysis arenas, one in flight per worker. A
     /// workspace that survives an analysis returns to the pool; one
     /// caught in a panic is dropped (a fresh one is created on demand).
@@ -104,6 +68,40 @@ pub(crate) struct EvalPipeline<'a, M: DataflowSemantics + Sync> {
     energy: Option<EnergyModel>,
 }
 
+/// One evaluation's outcome: the throughput plus the run metadata that
+/// lets the dependency-guided search replay the recorded execution
+/// instead of re-running the state-space analysis.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EvalRecord {
+    /// Throughput of the observed actor under the distribution.
+    pub(crate) throughput: Rational,
+    /// Whether the execution deadlocked.
+    pub(crate) deadlocked: bool,
+    /// Time at which the periodic phase was entered.
+    pub(crate) cycle_entry_time: u64,
+    /// Length of one period of the periodic phase.
+    pub(crate) period: u64,
+    /// Whether `deadlocked`/`cycle_entry_time`/`period` come from a real
+    /// analysis and can seed a dependency replay (`false` for checkpoint
+    /// replays and degraded failures).
+    pub(crate) has_replay_meta: bool,
+    /// Whether the analysis panicked and was degraded to zero throughput
+    /// (such records are terminal: no replay, no children).
+    pub(crate) failed: bool,
+}
+
+impl EvalRecord {
+    /// The degraded record of an analysis that panicked.
+    const FAILED: EvalRecord = EvalRecord {
+        throughput: Rational::ZERO,
+        deadlocked: true,
+        cycle_entry_time: 0,
+        period: 0,
+        has_replay_meta: false,
+        failed: true,
+    };
+}
+
 /// Telemetry handles of one pipeline run, fetched once at construction:
 /// when no recorder is installed the pipeline pays a single branch, and
 /// when one is, the hot path records through these `Arc`s without any
@@ -112,10 +110,7 @@ pub(crate) struct EvalTelemetry {
     recorder: Arc<buffy_telemetry::Recorder>,
     latency: Arc<buffy_telemetry::Histogram>,
     short_circuits: Arc<buffy_telemetry::Counter>,
-    static_prunes: Arc<buffy_telemetry::Counter>,
     dominance_prunes: Arc<buffy_telemetry::Counter>,
-    warm_starts: Arc<buffy_telemetry::Counter>,
-    warm_start_states: Arc<buffy_telemetry::Counter>,
     energy_points: Arc<buffy_telemetry::Counter>,
 }
 
@@ -124,27 +119,15 @@ impl EvalTelemetry {
         buffy_telemetry::active().map(|recorder| EvalTelemetry {
             latency: recorder.histogram(
                 names::EVAL_LATENCY_NS,
-                "Evaluation wall latency per memoised throughput analysis, in nanoseconds.",
+                "Evaluation wall latency per throughput analysis, in nanoseconds.",
             ),
             short_circuits: recorder.counter(
                 names::EVALS_SHORT_CIRCUITED,
                 "Per-size sweeps cut short because the monotonicity ceiling was reached.",
             ),
-            static_prunes: recorder.counter(
-                names::STATIC_PRUNES,
-                "Candidates skipped by a static cycle-ratio certificate.",
-            ),
             dominance_prunes: recorder.counter(
                 names::DOMINANCE_PRUNES,
-                "Candidates skipped by a monotone dominance record.",
-            ),
-            warm_starts: recorder.counter(
-                names::WARM_STARTS,
-                "Analyses whose arena was pre-sized from a neighbouring record.",
-            ),
-            warm_start_states: recorder.counter(
-                names::WARM_START_STATES,
-                "Reduced-state capacity reused through neighbour warm starts.",
+                "Guided-frontier candidates drained once the front reached the maximal throughput.",
             ),
             energy_points: recorder.counter(
                 names::ENERGY_POINTS,
@@ -179,14 +162,6 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
         options: &ExploreOptions,
         observer: &'a dyn ExploreObserver,
     ) -> Result<EvalPipeline<'a, M>, ExploreError> {
-        // A model the static pass cannot certify (disconnected, no
-        // consistent repetition vector, …) silently degrades to
-        // dominance-only pruning — the oracle never guesses.
-        let oracle = if options.static_prune {
-            PruneOracle::new(StaticBounds::new(model, observed).ok())
-        } else {
-            PruneOracle::disabled()
-        };
         // An inconsistent model has no repetition vector and therefore no
         // energy coefficients — but such a model fails the bounds phase
         // before any point is constructed, so degrading to `None` there is
@@ -211,22 +186,15 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
             model,
             observed,
             limits: options.limits,
-            cache: ShardedCache::new(),
             stats: AtomicStats::new(),
             threads: resolve_threads(options.threads),
             observer,
             cancel: options.cancel.clone().unwrap_or_default(),
-            warm_start: options.warm_start.clone(),
+            checkpoint: options.warm_start.clone(),
             fail_distribution: options.fail_distribution.clone(),
             faults: options.fault_plan.clone(),
             failures: Mutex::new(Vec::new()),
             telemetry: EvalTelemetry::fetch(),
-            shard_stats_published: AtomicBool::new(false),
-            oracle,
-            warm_neighbours: options.warm_start_neighbours,
-            neighbour_steps: (0..model.num_channels())
-                .map(|i| model.channel_step(ChannelId::new(i)))
-                .collect(),
             workspaces: Mutex::new(Vec::new()),
             energy,
         })
@@ -237,9 +205,8 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
     /// the exact energy per iteration when the energy axis is declared.
     ///
     /// Energy is a pure function of the throughput through the precomputed
-    /// model, so this costs no extra analysis and the memoized
-    /// [`CachedEval`] records need no new field — checkpoint replay and
-    /// warm starts reconstruct identical points for free.
+    /// model, so this costs no extra analysis and checkpoint replay
+    /// reconstructs identical points for free.
     pub(crate) fn point(
         &self,
         distribution: StorageDistribution,
@@ -265,54 +232,16 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
         }
     }
 
-    /// Memoized throughput of one distribution.
+    /// Throughput of one distribution.
     ///
-    /// Warm-start entries are replayed on first request as recorded
-    /// evaluations (checkpointed state count, zero wall time): a resumed
-    /// run reproduces both the front and the statistics of an
-    /// uninterrupted one. A panicking analysis is contained here: it is
-    /// recorded as an [`EvaluationFailure`], cached as zero throughput
-    /// (deterministic on re-request), and the search continues.
+    /// Checkpoint entries are replayed as recorded evaluations
+    /// (checkpointed state count, zero wall time): a resumed run
+    /// reproduces both the front and the statistics of an uninterrupted
+    /// one. A panicking analysis is contained here: it is recorded as an
+    /// [`EvaluationFailure`], degraded to zero throughput (and stays so on
+    /// re-request, without another run), and the search continues.
     pub(crate) fn eval(&self, dist: &StorageDistribution) -> Result<Rational, ExploreError> {
         Ok(self.eval_full(dist)?.throughput)
-    }
-
-    /// A usable warm-start seed from `neighbour`'s cached record, when
-    /// one exists. The probe is a tally-free [`ShardedCache::peek`]:
-    /// whether a neighbour is cached yet depends on worker timing, so a
-    /// counted lookup would make the cache statistics nondeterministic.
-    fn usable_record(&self, neighbour: &StorageDistribution) -> Option<u64> {
-        match self.cache.peek(neighbour) {
-            Some(e) if !e.failed && e.states_stored > 0 => Some(e.states_stored),
-            _ => None,
-        }
-    }
-
-    /// The arena pre-size hint for `dist`: the recorded state count of
-    /// the first cached neighbour (per channel: one step up, then one
-    /// step down). Adjacent distributions have nearly identical reachable
-    /// spaces, so the neighbour's count is within a few percent of
-    /// `dist`'s — close enough that the interner starts at its final
-    /// table size instead of growing through the power-of-two ladder.
-    fn neighbour_hint(&self, dist: &StorageDistribution) -> Option<u64> {
-        if !self.warm_neighbours {
-            return None;
-        }
-        for (i, &step) in self.neighbour_steps.iter().enumerate() {
-            let cid = ChannelId::new(i);
-            if let Some(hint) = self.usable_record(&dist.grown(cid, step)) {
-                return Some(hint);
-            }
-            if dist.get(cid) >= step {
-                let mut caps = dist.as_slice().to_vec();
-                caps[i] -= step;
-                let down = StorageDistribution::from_capacities(caps);
-                if let Some(hint) = self.usable_record(&down) {
-                    return Some(hint);
-                }
-            }
-        }
-        None
     }
 
     fn pop_workspace(&self) -> AnalysisWorkspace {
@@ -323,38 +252,33 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
         self.workspaces.lock().unwrap().push(ws);
     }
 
-    /// [`EvalPipeline::eval`] plus the cached replay metadata — what the
+    /// [`EvalPipeline::eval`] plus the run metadata — what the
     /// dependency-guided search needs to answer storage-dependency
     /// queries without re-running the state-space analysis.
-    pub(crate) fn eval_full(&self, dist: &StorageDistribution) -> Result<CachedEval, ExploreError> {
-        if let Some(entry) = self.cache.get(dist) {
-            self.stats.record_cache_hit();
-            self.observer.cache_hit(dist);
-            return Ok(entry);
+    pub(crate) fn eval_full(&self, dist: &StorageDistribution) -> Result<EvalRecord, ExploreError> {
+        if let Some(&(t, states)) = self.checkpoint.as_ref().and_then(|c| c.get(dist)) {
+            self.observer.evaluation_started(dist);
+            self.stats.record_evaluation(states, 0);
+            self.observer.evaluation_finished(dist, t, states, 0);
+            self.cancel.note_states(states);
+            self.cancel.note_evaluation();
+            return Ok(EvalRecord {
+                throughput: t,
+                deadlocked: t.is_zero(),
+                cycle_entry_time: 0,
+                period: 0,
+                has_replay_meta: false,
+                failed: false,
+            });
         }
-        if let Some(warm) = &self.warm_start {
-            if let Some(&(t, states)) = warm.get(dist) {
-                self.observer.evaluation_started(dist);
-                self.stats.record_evaluation(states, 0);
-                let entry = CachedEval {
-                    throughput: t,
-                    deadlocked: t.is_zero(),
-                    cycle_entry_time: 0,
-                    period: 0,
-                    has_replay_meta: false,
-                    states_stored: states,
-                    failed: false,
-                };
-                self.cache.insert(dist.clone(), entry);
-                // A replayed checkpoint entry is a genuine result: it must
-                // seed the same dominance records as the run it restores,
-                // or a resumed run would prune differently.
-                self.oracle.record(dist, t);
-                self.observer.evaluation_finished(dist, t, states, 0);
-                self.cancel.note_states(states);
-                self.cancel.note_evaluation();
-                return Ok(entry);
-            }
+        if self
+            .failures
+            .lock()
+            .unwrap()
+            .iter()
+            .any(|f| &f.distribution == dist)
+        {
+            return Ok(EvalRecord::FAILED);
         }
         self.observer.evaluation_started(dist);
         if let Some(plan) = &self.faults {
@@ -367,7 +291,6 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
             .as_ref()
             .map(|t| t.recorder.elapsed_us())
             .unwrap_or(0);
-        let hint = self.neighbour_hint(dist);
         let mut ws = self.pop_workspace();
         let start = Instant::now();
         let attempt = catch_unwind(AssertUnwindSafe(|| {
@@ -389,7 +312,7 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                 self.limits,
                 &self.cancel,
                 &mut ws,
-                hint.unwrap_or(0) as usize,
+                0,
             )
         }));
         match attempt {
@@ -399,29 +322,11 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                 let nanos = start.elapsed().as_nanos() as u64;
                 let states = report.states_stored as u64;
                 self.stats.record_evaluation(states, nanos);
-                if let Some(seeded) = hint {
-                    self.stats.record_warm_start(seeded);
-                }
                 if let Some(t) = &self.telemetry {
                     t.latency.record(nanos);
                     t.recorder
                         .trace_complete_at("eval", trace_ts, nanos / 1_000);
-                    if let Some(seeded) = hint {
-                        t.warm_starts.inc();
-                        t.warm_start_states.add(seeded);
-                    }
                 }
-                let entry = CachedEval {
-                    throughput: report.throughput,
-                    deadlocked: report.deadlocked,
-                    cycle_entry_time: report.cycle_entry_time,
-                    period: report.period,
-                    has_replay_meta: true,
-                    states_stored: states,
-                    failed: false,
-                };
-                self.cache.insert(dist.clone(), entry);
-                self.oracle.record(dist, report.throughput);
                 self.observer
                     .evaluation_finished(dist, report.throughput, states, nanos);
                 // An injected arena-pressure spike rides on the genuine
@@ -436,7 +341,14 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                 };
                 self.cancel.note_states(states + spike);
                 self.cancel.note_evaluation();
-                Ok(entry)
+                Ok(EvalRecord {
+                    throughput: report.throughput,
+                    deadlocked: report.deadlocked,
+                    cycle_entry_time: report.cycle_entry_time,
+                    period: report.period,
+                    has_replay_meta: true,
+                    failed: false,
+                })
             }
             Err(payload) => {
                 // The workspace was mid-analysis when the panic unwound
@@ -445,90 +357,25 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
                 drop(ws);
                 let message = panic_message(payload.as_ref());
                 self.stats.record_failure();
-                let entry = CachedEval {
-                    throughput: Rational::ZERO,
-                    deadlocked: true,
-                    cycle_entry_time: 0,
-                    period: 0,
-                    has_replay_meta: false,
-                    states_stored: 0,
-                    failed: true,
-                };
-                // Degraded zero-throughput is *not* a genuine result: it
-                // is cached (deterministic on re-request) but never
-                // recorded in the oracle — a panic proves nothing about
-                // the real throughput, so it must not seed proofs.
-                self.cache.insert(dist.clone(), entry);
                 self.failures.lock().unwrap().push(EvaluationFailure {
                     distribution: dist.clone(),
                     message: message.clone(),
                 });
                 self.observer.evaluation_failed(dist, &message);
                 self.cancel.note_evaluation();
-                Ok(entry)
+                Ok(EvalRecord::FAILED)
             }
         }
     }
 
-    /// Registers one oracle-decided skip with the statistics, the
-    /// observer and telemetry.
-    fn note_prune(&self, dist: &StorageDistribution, kind: PruneKind) {
-        self.stats.record_prune(kind);
-        self.observer.distribution_pruned(dist, kind);
+    /// Registers one guided-frontier candidate drained without analysis
+    /// once the front reached the graph's maximal throughput.
+    pub(crate) fn note_drained(&self, dist: &StorageDistribution) {
+        self.stats.record_dominance_prune();
+        self.observer
+            .distribution_pruned(dist, PruneKind::Dominance);
         if let Some(t) = &self.telemetry {
-            match kind {
-                PruneKind::Static => t.static_prunes.inc(),
-                PruneKind::Dominance => t.dominance_prunes.inc(),
-            }
-        }
-    }
-
-    /// Whether the oracle proves `t(dist) ≤ limit`; a successful proof is
-    /// counted as a prune. Exactness: a candidate at or below the current
-    /// best cannot improve the front (updates require strictly greater
-    /// throughput), so skipping it changes nothing but the work done.
-    pub(crate) fn prunes_at_most(&self, dist: &StorageDistribution, limit: &Rational) -> bool {
-        match self.oracle.proves_at_most(dist, limit) {
-            Some(kind) => {
-                self.note_prune(dist, kind);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Whether the oracle proves `t(dist) < limit` (strictly); counted as
-    /// a prune on success.
-    pub(crate) fn prunes_below(&self, dist: &StorageDistribution, limit: &Rational) -> bool {
-        match self.oracle.proves_below(dist, limit) {
-            Some(kind) => {
-                self.note_prune(dist, kind);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Whether the oracle proves `t(dist) = 0`; counted as a prune on
-    /// success.
-    pub(crate) fn prunes_zero(&self, dist: &StorageDistribution) -> bool {
-        match self.oracle.proves_zero(dist) {
-            Some(kind) => {
-                self.note_prune(dist, kind);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Whether the oracle proves `t(dist) > 0` (a positive dominance
-    /// record pointwise below `dist`); counted as a prune on success.
-    pub(crate) fn proves_positive(&self, dist: &StorageDistribution) -> bool {
-        if self.oracle.proves_positive(dist) {
-            self.note_prune(dist, PruneKind::Dominance);
-            true
-        } else {
-            false
+            t.dominance_prunes.inc();
         }
     }
 
@@ -539,7 +386,7 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
     /// per-slot [`OnceLock`]s, so workers share no locks at all. Batches
     /// always contain distinct distributions (they come from one
     /// enumeration pass), so no two workers ever analyse the same
-    /// distribution concurrently and the evaluation count stays exact.
+    /// distribution concurrently.
     pub(crate) fn eval_batch(
         &self,
         batch: &[StorageDistribution],
@@ -574,35 +421,8 @@ impl<'a, M: DataflowSemantics + Sync> EvalPipeline<'a, M> {
         }
     }
 
-    /// Snapshot of the run's statistics. Also publishes the memo cache's
-    /// per-shard hit/miss/occupancy tallies to the recorder — drivers call
-    /// this exactly once per exit path, and a guard keeps the counters
-    /// single-shot even if that ever changes.
+    /// Snapshot of the run's statistics.
     pub(crate) fn stats(&self) -> ExplorationStats {
-        if let Some(t) = &self.telemetry {
-            if !self.shard_stats_published.swap(true, Ordering::Relaxed) {
-                for (i, s) in self.cache.shard_stats().iter().enumerate() {
-                    t.recorder
-                        .counter(
-                            &labeled(names::SHARD_HITS, "shard", i),
-                            "Memo-cache hits per shard.",
-                        )
-                        .add(s.hits);
-                    t.recorder
-                        .counter(
-                            &labeled(names::SHARD_MISSES, "shard", i),
-                            "Memo-cache misses per shard.",
-                        )
-                        .add(s.misses);
-                    t.recorder
-                        .gauge(
-                            &labeled(names::SHARD_ENTRIES, "shard", i),
-                            "Memo-cache entries per shard at the end of the run.",
-                        )
-                        .set(s.entries);
-                }
-            }
-        }
         self.stats.snapshot()
     }
 

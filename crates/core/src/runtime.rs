@@ -6,25 +6,19 @@
 //! parallel (§10). This module holds everything the drivers share to
 //! exploit that without serializing on a single lock:
 //!
-//! - [`ShardedCache`]: the memo cache of analysed distributions, hash
-//!   partitioned into independently locked shards so concurrent workers
-//!   rarely contend;
 //! - [`AtomicStats`]: contention-free evaluation counters, snapshotted
 //!   into the [`ExplorationStats`] every driver reports;
-//! - [`ExploreObserver`]: a structured event stream (evaluations, cache
-//!   hits, accepted Pareto points, search-phase transitions) that the CLI
+//! - [`ExploreObserver`]: a structured event stream (evaluations,
+//!   accepted Pareto points, search-phase transitions) that the CLI
 //!   renders as progress or JSON-lines traces;
 //! - [`resolve_threads`]: `threads: 0` → the machine's available
 //!   parallelism.
 
 use crate::pareto::ParetoPoint;
-use buffy_analysis::{fx_hash, CancelReason, FxBuildHasher};
+use buffy_analysis::CancelReason;
 use buffy_graph::{Rational, StorageDistribution};
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Batch size for chunked candidate evaluation.
 ///
@@ -36,130 +30,20 @@ use std::sync::Mutex;
 /// [`ExplorationStats`] — identical across thread counts.
 pub(crate) const EVAL_CHUNK: usize = 32;
 
-/// Number of cache shards; a power of two so the shard of a hash is a
-/// mask away. 16 shards keep contention negligible for any realistic
-/// worker count while costing next to nothing when single-threaded.
-const SHARD_COUNT: usize = 16;
-
-/// A concurrent memoization cache, hash-partitioned into
-/// [`SHARD_COUNT`] independently locked shards.
-///
-/// Keys are spread over the shards by their [`fx_hash`]; each shard is a
-/// small `Mutex<HashMap>` (Fx-hashed as well), so two workers only
-/// contend when their keys land in the same shard. Values are `Copy`
-/// (the drivers cache throughputs, i.e. [`Rational`]s), which keeps
-/// lookups free of clones.
-#[derive(Debug)]
-pub(crate) struct ShardedCache<K, V> {
-    shards: Vec<Mutex<Shard<K, V>>>,
-}
-
-/// One cache shard: the map plus its own hit/miss tallies. The tallies
-/// are plain integers bumped under the shard lock the lookup already
-/// holds — per-shard statistics cost nothing extra on the hot path.
-#[derive(Debug)]
-struct Shard<K, V> {
-    map: HashMap<K, V, FxBuildHasher>,
-    hits: u64,
-    misses: u64,
-}
-
-impl<K, V> Default for Shard<K, V> {
-    fn default() -> Shard<K, V> {
-        Shard {
-            map: HashMap::default(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-}
-
-/// Point-in-time statistics of one cache shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ShardCacheStats {
-    /// Lookups answered by this shard.
-    pub(crate) hits: u64,
-    /// Lookups this shard missed.
-    pub(crate) misses: u64,
-    /// Entries currently stored.
-    pub(crate) entries: u64,
-}
-
-impl<K: Hash + Eq, V: Copy> ShardedCache<K, V> {
-    pub(crate) fn new() -> ShardedCache<K, V> {
-        ShardedCache {
-            shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
-        &self.shards[(fx_hash(key) as usize) & (SHARD_COUNT - 1)]
-    }
-
-    pub(crate) fn get(&self, key: &K) -> Option<V> {
-        let mut shard = self.shard(key).lock().unwrap();
-        let value = shard.map.get(key).copied();
-        match value {
-            Some(_) => shard.hits += 1,
-            None => shard.misses += 1,
-        }
-        value
-    }
-
-    /// Looks `key` up *without* touching the hit/miss tallies.
-    ///
-    /// This is the neighbour-probe entry point of the warm-start pipeline:
-    /// probes are speculative (most neighbours were never evaluated) and
-    /// timing-dependent under parallelism, so counting them would make
-    /// `cache_hits` and the per-shard statistics nondeterministic. A peek
-    /// is observation-only — the deterministic statistics are byte-for-byte
-    /// those of a peek-free run.
-    pub(crate) fn peek(&self, key: &K) -> Option<V> {
-        self.shard(key).lock().unwrap().map.get(key).copied()
-    }
-
-    pub(crate) fn insert(&self, key: K, value: V) {
-        self.shard(&key).lock().unwrap().map.insert(key, value);
-    }
-
-    /// Per-shard hit/miss/occupancy statistics, in shard order.
-    pub(crate) fn shard_stats(&self) -> Vec<ShardCacheStats> {
-        self.shards
-            .iter()
-            .map(|s| {
-                let shard = s.lock().unwrap();
-                ShardCacheStats {
-                    hits: shard.hits,
-                    misses: shard.misses,
-                    entries: shard.map.len() as u64,
-                }
-            })
-            .collect()
-    }
-}
-
 /// Unified statistics of one exploration run.
 ///
-/// Replaces the ad-hoc `(evaluations, cache_hits, max_states)` tuple: every
-/// driver — the exhaustive and guided explorers, the CSDF wrappers and the
-/// constraint search — reports this struct, and the bench and CLI surfaces
-/// render it.
+/// Every driver — the exhaustive and guided explorers, the CSDF wrappers
+/// and the constraint search — reports this struct, and the bench and CLI
+/// surfaces render it.
 ///
-/// Equality ignores `eval_nanos` and the two warm-start counters: wall
-/// time varies run to run, and whether a neighbour's record was already
-/// in the memo cache when an evaluation started depends on worker timing
-/// — both are performance artifacts, not search outcomes. The remaining
-/// counters are deterministic — identical across thread counts by
-/// construction (fixed-size evaluation chunks), which the regression tests
-/// assert with `==`.
+/// Equality ignores `eval_nanos`: wall time varies run to run. The
+/// remaining counters are deterministic — identical across thread counts
+/// by construction (fixed-size evaluation chunks), which the regression
+/// tests assert with `==`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExplorationStats {
-    /// Throughput analyses actually run (memo-cache misses).
+    /// Throughput analyses run (checkpoint replays included).
     pub evaluations: u64,
-    /// Evaluation requests answered from the memo cache.
-    pub cache_hits: u64,
     /// Largest reduced state space stored in any single analysis (the
     /// paper's "maximum #states" of Table 2).
     pub max_states: u64,
@@ -170,59 +54,22 @@ pub struct ExplorationStats {
     /// Evaluations that panicked and were degraded to a recorded failure
     /// instead of aborting the run.
     pub failures: u64,
-    /// Candidate distributions skipped because a static cycle-ratio
-    /// certificate already decided them (no state-space analysis run).
-    pub static_prunes: u64,
-    /// Candidate distributions skipped because a pointwise-dominating or
-    /// -dominated distribution with a known throughput already decided
-    /// them (monotonicity, paper §9).
+    /// Guided-frontier candidates skipped without analysis because the
+    /// front had already reached the graph's maximal throughput, which
+    /// dominates them (monotonicity, paper §9).
     pub dominance_prunes: u64,
-    /// Evaluations whose analysis arena was pre-sized from a neighbouring
-    /// distribution's eval record. A pure allocation-layer effect: which
-    /// neighbours are cached when an evaluation starts depends on worker
-    /// timing, so this counter (like `eval_nanos`) is ignored by `==`.
+    /// Retained for API compatibility: analyses no longer warm-start from
+    /// a neighbouring distribution, so this always reads 0.
     pub warm_starts: u64,
-    /// Reduced-state capacity reused through those warm starts (sum of
-    /// the seeding records' state counts). Ignored by `==`.
-    pub warm_start_states: u64,
-}
-
-impl ExplorationStats {
-    /// Total evaluation requests: analyses run plus cache hits.
-    pub fn requests(&self) -> u64 {
-        self.evaluations + self.cache_hits
-    }
-
-    /// Fraction of requests answered from the cache, in `[0, 1]`.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.requests();
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Fraction of analyses that started from a neighbour-seeded arena,
-    /// in `[0, 1]`.
-    pub fn warm_start_hit_rate(&self) -> f64 {
-        if self.evaluations == 0 {
-            0.0
-        } else {
-            self.warm_starts as f64 / self.evaluations as f64
-        }
-    }
 }
 
 impl PartialEq for ExplorationStats {
     /// Compares the deterministic counters only; `eval_nanos` (wall time)
-    /// and the warm-start counters (cache-timing artifacts) are excluded.
+    /// is excluded.
     fn eq(&self, other: &Self) -> bool {
         self.evaluations == other.evaluations
-            && self.cache_hits == other.cache_hits
             && self.max_states == other.max_states
             && self.failures == other.failures
-            && self.static_prunes == other.static_prunes
             && self.dominance_prunes == other.dominance_prunes
     }
 }
@@ -233,29 +80,14 @@ impl fmt::Display for ExplorationStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} evaluations, {} cache hits ({:.0}%), max {} states",
-            self.evaluations,
-            self.cache_hits,
-            self.cache_hit_rate() * 100.0,
-            self.max_states
+            "{} evaluations, max {} states",
+            self.evaluations, self.max_states
         )?;
         if self.failures > 0 {
             write!(f, ", {} failed", self.failures)?;
         }
-        if self.static_prunes > 0 || self.dominance_prunes > 0 {
-            write!(
-                f,
-                ", {} pruned statically + {} by dominance",
-                self.static_prunes, self.dominance_prunes
-            )?;
-        }
-        if self.warm_starts > 0 {
-            write!(
-                f,
-                ", {} warm-started ({:.0}%)",
-                self.warm_starts,
-                self.warm_start_hit_rate() * 100.0
-            )?;
+        if self.dominance_prunes > 0 {
+            write!(f, ", {} pruned by dominance", self.dominance_prunes)?;
         }
         Ok(())
     }
@@ -266,14 +98,10 @@ impl fmt::Display for ExplorationStats {
 #[derive(Debug, Default)]
 pub(crate) struct AtomicStats {
     evaluations: AtomicU64,
-    cache_hits: AtomicU64,
     max_states: AtomicU64,
     eval_nanos: AtomicU64,
     failures: AtomicU64,
-    static_prunes: AtomicU64,
     dominance_prunes: AtomicU64,
-    warm_starts: AtomicU64,
-    warm_start_states: AtomicU64,
 }
 
 impl AtomicStats {
@@ -288,57 +116,39 @@ impl AtomicStats {
         self.eval_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
-    /// Records one memo-cache hit.
-    pub(crate) fn record_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records one degraded (panicked) evaluation.
     pub(crate) fn record_failure(&self) {
         self.failures.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one analysis whose arena was pre-sized from a neighbour's
-    /// record of `states` reduced states.
-    pub(crate) fn record_warm_start(&self, states: u64) {
-        self.warm_starts.fetch_add(1, Ordering::Relaxed);
-        self.warm_start_states.fetch_add(states, Ordering::Relaxed);
-    }
-
-    /// Records one candidate skipped by the prune oracle.
-    pub(crate) fn record_prune(&self, kind: PruneKind) {
-        match kind {
-            PruneKind::Static => &self.static_prunes,
-            PruneKind::Dominance => &self.dominance_prunes,
-        }
-        .fetch_add(1, Ordering::Relaxed);
+    /// Records one candidate skipped without analysis.
+    pub(crate) fn record_dominance_prune(&self) {
+        self.dominance_prunes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A consistent snapshot (callers take it after all workers joined).
     pub(crate) fn snapshot(&self) -> ExplorationStats {
         ExplorationStats {
             evaluations: self.evaluations.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
             max_states: self.max_states.load(Ordering::Relaxed),
             eval_nanos: self.eval_nanos.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
-            static_prunes: self.static_prunes.load(Ordering::Relaxed),
             dominance_prunes: self.dominance_prunes.load(Ordering::Relaxed),
-            warm_starts: self.warm_starts.load(Ordering::Relaxed),
-            warm_start_states: self.warm_start_states.load(Ordering::Relaxed),
+            warm_starts: 0,
         }
     }
 }
 
-/// Why the prune oracle skipped a candidate distribution without running
-/// (or even enqueueing) its state-space analysis.
+/// Why a driver skipped a candidate distribution without running its
+/// state-space analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruneKind {
-    /// A capacity-aware cycle-ratio certificate decided the candidate
-    /// (static upper bound at or below what the search still needed).
+    /// Retained for API compatibility: no driver consults a static
+    /// certificate any more, so this kind is never reported.
     Static,
-    /// A previously evaluated pointwise-comparable distribution decided
-    /// the candidate (throughput monotonicity).
+    /// An already accepted point dominates the candidate (throughput
+    /// monotonicity): the guided search drains its frontier this way once
+    /// the front reaches the graph's maximal throughput.
     Dominance,
 }
 
@@ -356,32 +166,6 @@ impl fmt::Display for PruneKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// A memoized evaluation: the throughput plus the replay metadata that
-/// lets the dependency-guided search answer storage-dependency queries
-/// from the cache (`has_replay_meta` is `false` for entries that were
-/// warm-started or degraded, where no genuine analysis ran).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CachedEval {
-    /// Throughput of the observed actor under the distribution.
-    pub(crate) throughput: Rational,
-    /// Whether the execution deadlocked.
-    pub(crate) deadlocked: bool,
-    /// Time at which the periodic phase was entered.
-    pub(crate) cycle_entry_time: u64,
-    /// Length of one period of the periodic phase.
-    pub(crate) period: u64,
-    /// Whether `deadlocked`/`cycle_entry_time`/`period` come from a real
-    /// analysis and can seed a dependency replay.
-    pub(crate) has_replay_meta: bool,
-    /// Reduced states the analysis stored — the warm-start pipeline uses
-    /// it to pre-size a neighbouring distribution's arena (0 for replayed
-    /// or degraded entries, which seed nothing).
-    pub(crate) states_stored: u64,
-    /// Whether the analysis panicked and was degraded to zero throughput
-    /// (such entries are terminal: no replay, no dominance record).
-    pub(crate) failed: bool,
 }
 
 /// How complete a search result is: exact, or truncated by cancellation.
@@ -512,7 +296,7 @@ pub trait ExploreObserver: Sync {
         let _ = phase;
     }
 
-    /// A throughput analysis of `dist` is about to run (cache miss).
+    /// A throughput analysis of `dist` is about to run.
     fn evaluation_started(&self, dist: &StorageDistribution) {
         let _ = dist;
     }
@@ -529,7 +313,8 @@ pub trait ExploreObserver: Sync {
         let _ = (dist, throughput, states, nanos);
     }
 
-    /// An evaluation request for `dist` was answered from the memo cache.
+    /// Retained for API compatibility: evaluations are no longer
+    /// memoized, so no driver reports a cache hit.
     fn cache_hit(&self, dist: &StorageDistribution) {
         let _ = dist;
     }
@@ -546,7 +331,7 @@ pub trait ExploreObserver: Sync {
         let _ = point;
     }
 
-    /// The prune oracle skipped `dist` without running its analysis.
+    /// A driver skipped `dist` without running its analysis.
     fn distribution_pruned(&self, dist: &StorageDistribution, kind: PruneKind) {
         let _ = (dist, kind);
     }
@@ -577,89 +362,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sharded_cache_round_trips() {
-        let cache: ShardedCache<StorageDistribution, Rational> = ShardedCache::new();
-        for i in 0..100u64 {
-            let d = StorageDistribution::from_capacities(vec![i, i + 1]);
-            assert_eq!(cache.get(&d), None);
-            cache.insert(d.clone(), Rational::new(1, (i + 1) as i128));
-            assert_eq!(cache.get(&d), Some(Rational::new(1, (i + 1) as i128)));
-        }
-        // Re-insert overwrites.
-        let d = StorageDistribution::from_capacities(vec![0, 1]);
-        cache.insert(d.clone(), Rational::ONE);
-        assert_eq!(cache.get(&d), Some(Rational::ONE));
-    }
-
-    #[test]
-    fn shard_stats_tally_hits_misses_and_entries() {
-        let cache: ShardedCache<StorageDistribution, Rational> = ShardedCache::new();
-        let d = StorageDistribution::from_capacities(vec![4, 2]);
-        assert_eq!(cache.get(&d), None); // miss
-        cache.insert(d.clone(), Rational::ONE);
-        assert_eq!(cache.get(&d), Some(Rational::ONE)); // hit
-        assert_eq!(cache.get(&d), Some(Rational::ONE)); // hit
-        let stats = cache.shard_stats();
-        assert_eq!(stats.len(), SHARD_COUNT);
-        let hits: u64 = stats.iter().map(|s| s.hits).sum();
-        let misses: u64 = stats.iter().map(|s| s.misses).sum();
-        let entries: u64 = stats.iter().map(|s| s.entries).sum();
-        assert_eq!((hits, misses, entries), (2, 1, 1));
-        // All three land in the same shard (same key).
-        assert!(stats.contains(&ShardCacheStats {
-            hits: 2,
-            misses: 1,
-            entries: 1
-        }));
-    }
-
-    #[test]
-    fn peek_reads_without_touching_the_tallies() {
-        let cache: ShardedCache<StorageDistribution, Rational> = ShardedCache::new();
-        let d = StorageDistribution::from_capacities(vec![4, 2]);
-        let missing = StorageDistribution::from_capacities(vec![9, 9]);
-        assert_eq!(cache.peek(&d), None);
-        cache.insert(d.clone(), Rational::ONE);
-        assert_eq!(cache.peek(&d), Some(Rational::ONE));
-        assert_eq!(cache.peek(&missing), None);
-        let stats = cache.shard_stats();
-        let hits: u64 = stats.iter().map(|s| s.hits).sum();
-        let misses: u64 = stats.iter().map(|s| s.misses).sum();
-        assert_eq!((hits, misses), (0, 0), "peek must not tally");
-        // A tallying get still works as before.
-        assert_eq!(cache.get(&d), Some(Rational::ONE));
-        let hits: u64 = cache.shard_stats().iter().map(|s| s.hits).sum();
-        assert_eq!(hits, 1);
-    }
-
-    #[test]
-    fn sharded_cache_is_concurrently_usable() {
-        let cache: ShardedCache<StorageDistribution, Rational> = ShardedCache::new();
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let cache = &cache;
-                scope.spawn(move || {
-                    for i in 0..200u64 {
-                        let d = StorageDistribution::from_capacities(vec![t, i]);
-                        cache.insert(d.clone(), Rational::new(1, (i + 1) as i128));
-                        assert!(cache.get(&d).is_some());
-                    }
-                });
-            }
-        });
-        for t in 0..4u64 {
-            for i in 0..200u64 {
-                let d = StorageDistribution::from_capacities(vec![t, i]);
-                assert_eq!(cache.get(&d), Some(Rational::new(1, (i + 1) as i128)));
-            }
-        }
-    }
-
-    #[test]
     fn stats_equality_ignores_wall_time() {
         let a = ExplorationStats {
             evaluations: 10,
-            cache_hits: 5,
             max_states: 42,
             eval_nanos: 1_000,
             ..ExplorationStats::default()
@@ -676,29 +381,11 @@ mod tests {
         assert_ne!(a, c);
         let d = ExplorationStats { failures: 1, ..a };
         assert_ne!(a, d);
-        let e = ExplorationStats {
-            static_prunes: 3,
-            ..a
-        };
-        assert_ne!(a, e);
         let f = ExplorationStats {
             dominance_prunes: 2,
             ..a
         };
         assert_ne!(a, f);
-        // Warm-start counters are cache-timing artifacts: excluded from
-        // `==` just like wall time.
-        let g = ExplorationStats {
-            warm_starts: 7,
-            warm_start_states: 1234,
-            ..a
-        };
-        assert_eq!(a, g);
-        assert_eq!(a.requests(), 15);
-        assert!((a.cache_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(ExplorationStats::default().cache_hit_rate(), 0.0);
-        assert!((g.warm_start_hit_rate() - 0.7).abs() < 1e-12);
-        assert_eq!(ExplorationStats::default().warm_start_hit_rate(), 0.0);
     }
 
     #[test]
@@ -710,20 +397,15 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..100 {
                         stats.record_evaluation(i, 10);
-                        stats.record_cache_hit();
-                        stats.record_warm_start(i);
                     }
                 });
             }
         });
         let s = stats.snapshot();
         assert_eq!(s.evaluations, 400);
-        assert_eq!(s.cache_hits, 400);
         assert_eq!(s.max_states, 99);
         assert_eq!(s.eval_nanos, 4_000);
-        assert_eq!(s.warm_starts, 400);
-        assert_eq!(s.warm_start_states, 4 * 4950);
-        assert!((s.warm_start_hit_rate() - 1.0).abs() < 1e-12);
+        assert_eq!(s.warm_starts, 0);
     }
 
     #[test]
@@ -751,16 +433,10 @@ mod tests {
         assert_eq!(PruneKind::Static.name(), "static-bound");
         assert_eq!(PruneKind::Dominance.to_string(), "dominance");
         let stats = AtomicStats::new();
-        stats.record_prune(PruneKind::Static);
-        stats.record_prune(PruneKind::Static);
-        stats.record_prune(PruneKind::Dominance);
+        stats.record_dominance_prune();
         let s = stats.snapshot();
-        assert_eq!((s.static_prunes, s.dominance_prunes), (2, 1));
-        assert!(
-            s.to_string()
-                .contains("2 pruned statically + 1 by dominance"),
-            "{s}"
-        );
+        assert_eq!(s.dominance_prunes, 1);
+        assert!(s.to_string().contains("1 pruned by dominance"), "{s}");
     }
 
     #[test]

@@ -73,13 +73,11 @@ pub struct CsdfExploreOptions {
     /// as recorded evaluations so a resumed run reproduces an
     /// uninterrupted one exactly.
     pub warm_start: Option<Arc<WarmStart>>,
-    /// Run the static certificate pass before evaluating (default `true`);
-    /// disable to measure its effect.
+    /// Has no effect; retained for API compatibility (see
+    /// [`ExploreOptions::static_prune`]).
     pub static_prune: bool,
-    /// Seed each cold evaluation's allocations from a neighbouring
-    /// distribution's recorded state count (default `true`). Purely an
-    /// allocation-layer hint: fronts and statistics (other than the
-    /// warm-start counters) are identical either way.
+    /// Has no effect; retained for API compatibility (see
+    /// [`ExploreOptions::warm_start_neighbours`]).
     pub warm_start_neighbours: bool,
     /// Deterministic fault schedule for resilience testing (see
     /// [`buffy_core::FaultPlan`]); `None` in production.
@@ -92,8 +90,8 @@ pub struct CsdfExploreOptions {
 }
 
 impl Default for CsdfExploreOptions {
-    // Manual impl: the derive would default the booleans to `false`, but
-    // pruning and neighbour warm starts are on unless explicitly disabled.
+    // Manual impl: the default thread count is 0 (auto-detect) and the
+    // retained booleans keep their historical `true` defaults.
     fn default() -> Self {
         Self {
             observed: None,
@@ -118,8 +116,8 @@ pub struct CsdfExplorationResult {
     pub pareto: ParetoSet,
     /// The maximal achievable throughput of the observed actor.
     pub max_throughput: Rational,
-    /// Evaluation statistics: analyses run, cache hits, largest state
-    /// space, analysis wall time.
+    /// Evaluation statistics: analyses run, largest state space,
+    /// analysis wall time.
     pub stats: ExplorationStats,
     /// Whether the front is exact or a budget/interrupt truncated it.
     pub completeness: Completeness,
@@ -178,7 +176,7 @@ pub fn csdf_explore(
 }
 
 /// [`csdf_explore`] with a structured [`ExploreObserver`] receiving
-/// evaluation, cache-hit, Pareto-accept and phase events as the search
+/// evaluation, Pareto-accept and phase events as the search
 /// runs.
 ///
 /// # Errors
@@ -200,8 +198,6 @@ pub fn csdf_explore_observed(
         threads: options.threads,
         cancel: options.cancel.clone(),
         warm_start: options.warm_start.clone(),
-        static_prune: options.static_prune,
-        warm_start_neighbours: options.warm_start_neighbours,
         fault_plan: options.fault_plan.clone(),
         objectives: options.objectives.clone(),
         ..ExploreOptions::default()

@@ -28,7 +28,7 @@ mod http;
 mod page;
 
 use buffy_core::{EventRing, LiveEvent, LiveStats, ParetoPoint};
-use buffy_telemetry::{names, Recorder};
+use buffy_telemetry::Recorder;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -212,17 +212,9 @@ fn handle(stream: &mut TcpStream, state: &ServeState, stop: &AtomicBool) {
 /// Renders the `/status` snapshot.
 ///
 /// The counters come from the lock-free [`LiveStats`] (each value exact,
-/// cross-counter skew bounded by in-flight events); warm starts are read
-/// from the recorder, which is where the pipeline counts them.
+/// cross-counter skew bounded by in-flight events).
 fn status_json(state: &ServeState) -> String {
     let stats = &state.stats;
-    let warm_starts = state
-        .recorder
-        .snapshot()
-        .counters
-        .get(names::WARM_STARTS)
-        .copied()
-        .unwrap_or(0);
     let evaluations = stats.evaluations();
     let budget = match state.budget_evaluations {
         Some(b) => b.to_string(),
@@ -235,8 +227,7 @@ fn status_json(state: &ServeState) -> String {
     let front: Vec<String> = stats.front().iter().map(front_point_json).collect();
     format!(
         "{{\"graph\":\"{}\",\"algorithm\":\"{}\",\"phase\":{},\"finished\":{},\
-         \"elapsed_us\":{},\"evaluations\":{evaluations},\"cache_hits\":{},\
-         \"static_prunes\":{},\"dominance_prunes\":{},\"warm_starts\":{warm_starts},\
+         \"elapsed_us\":{},\"evaluations\":{evaluations},\"dominance_prunes\":{},\
          \"failures\":{},\"pareto_accepted\":{},\"front_size\":{},\
          \"budget_evaluations\":{budget},\"budget_evaluations_remaining\":{remaining},\
          \"events_dropped\":{},\"front\":[{}]}}",
@@ -248,8 +239,6 @@ fn status_json(state: &ServeState) -> String {
         },
         stats.is_finished(),
         stats.elapsed_us(),
-        stats.cache_hits(),
-        stats.static_prunes(),
         stats.dominance_prunes(),
         stats.failures(),
         stats.pareto_accepted(),
@@ -329,9 +318,6 @@ fn sse_frame(seq: u64, event: &LiveEvent) -> String {
             "{{\"distribution\":{},\"size\":{size},\"throughput\":\"{throughput}\",\"states\":{states},\"nanos\":{nanos}}}",
             capacities_json(capacities)
         ),
-        LiveEvent::CacheHit { capacities } => {
-            format!("{{\"distribution\":{}}}", capacities_json(capacities))
-        }
         LiveEvent::Pruned { capacities, kind } => format!(
             "{{\"distribution\":{},\"kind\":\"{kind}\"}}",
             capacities_json(capacities)
@@ -433,7 +419,9 @@ mod tests {
         let live = LiveObserver::new();
         feed_events(&live);
         let recorder = Arc::new(Recorder::new());
-        recorder.counter(names::WARM_STARTS, "warm starts").add(3);
+        recorder
+            .counter(buffy_telemetry::names::DOMINANCE_PRUNES, "dominance prunes")
+            .add(3);
         let mut server =
             ObsServer::start("127.0.0.1:0", test_state(&live, recorder)).expect("bind");
         let addr = server.local_addr();
@@ -444,11 +432,11 @@ mod tests {
 
         let metrics = get(addr, "/metrics");
         assert!(
-            metrics.contains("# TYPE buffy_warm_start_seeded_total counter"),
+            metrics.contains("# TYPE buffy_dominance_prunes_total counter"),
             "{metrics}"
         );
         assert!(
-            metrics.contains("buffy_warm_start_seeded_total 3"),
+            metrics.contains("buffy_dominance_prunes_total 3"),
             "{metrics}"
         );
 
@@ -456,7 +444,8 @@ mod tests {
         assert!(status.contains("\"graph\":\"example\""), "{status}");
         assert!(status.contains("\"phase\":\"bounds\""), "{status}");
         assert!(status.contains("\"evaluations\":1"), "{status}");
-        assert!(status.contains("\"warm_starts\":3"), "{status}");
+        assert!(status.contains("\"dominance_prunes\":0"), "{status}");
+        assert!(!status.contains("cache_hits"), "{status}");
         assert!(
             status.contains("\"budget_evaluations_remaining\":99"),
             "{status}"

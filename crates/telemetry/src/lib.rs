@@ -127,7 +127,7 @@ pub fn active() -> Option<Arc<Recorder>> {
 /// reporting layer, so producers and consumers cannot drift apart.
 pub mod names {
     /// Histogram of evaluation wall latency in nanoseconds (one sample
-    /// per memoised throughput evaluation).
+    /// per throughput analysis).
     pub const EVAL_LATENCY_NS: &str = "buffy_eval_latency_ns";
     /// Histogram of states stored per throughput analysis.
     pub const ANALYSIS_STATES: &str = "buffy_analysis_states";
@@ -138,12 +138,6 @@ pub mod names {
     pub const INTERNER_PROBE_LEN: &str = "buffy_interner_probe_len";
     /// Gauge: largest interner occupancy (entries) seen in any analysis.
     pub const INTERNER_OCCUPANCY_MAX: &str = "buffy_interner_occupancy_max";
-    /// Counter family: memo-cache hits per shard (label `shard`).
-    pub const SHARD_HITS: &str = "buffy_memo_shard_hits_total";
-    /// Counter family: memo-cache misses per shard (label `shard`).
-    pub const SHARD_MISSES: &str = "buffy_memo_shard_misses_total";
-    /// Gauge family: memo-cache entries per shard (label `shard`).
-    pub const SHARD_ENTRIES: &str = "buffy_memo_shard_entries";
     /// Histogram family: per-phase wall time in nanoseconds (label
     /// `phase`), fed by [`Span`](crate::Span)s.
     pub const PHASE_NS: &str = "buffy_phase_ns";
@@ -156,18 +150,9 @@ pub mod names {
     /// Counter family: guided-search children skipped by the size upper
     /// bound or per-channel caps (label `reason`).
     pub const GUIDED_SKIPPED: &str = "buffy_guided_children_skipped_total";
-    /// Counter: candidate distributions skipped because a static
-    /// cycle-ratio certificate decided them without simulation.
-    pub const STATIC_PRUNES: &str = "buffy_static_prunes_total";
-    /// Counter: candidate distributions skipped because a previously
-    /// evaluated pointwise-comparable distribution decided them.
+    /// Counter: guided-frontier candidates drained without analysis once
+    /// an accepted point reached the graph's maximal throughput.
     pub const DOMINANCE_PRUNES: &str = "buffy_dominance_prunes_total";
-    /// Counter: evaluations whose analysis arena was seeded from a
-    /// neighbouring distribution's eval record (capacity warm start).
-    pub const WARM_STARTS: &str = "buffy_warm_start_seeded_total";
-    /// Counter: reduced-state capacity reused through neighbour warm
-    /// starts (sum of the seeding records' state counts).
-    pub const WARM_START_STATES: &str = "buffy_warm_start_states_total";
     /// Counter: Pareto candidate points whose energy objective was
     /// computed from the actor power model.
     pub const ENERGY_POINTS: &str = "buffy_energy_points_total";
@@ -192,8 +177,8 @@ mod tests {
     #[test]
     fn labeled_formats_prometheus_style() {
         assert_eq!(
-            labeled(names::SHARD_HITS, "shard", 3),
-            "buffy_memo_shard_hits_total{shard=\"3\"}"
+            labeled(names::PHASE_NS, "phase", "bounds"),
+            "buffy_phase_ns{phase=\"bounds\"}"
         );
     }
 

@@ -113,18 +113,24 @@ mod tests {
     #[test]
     fn families_get_one_header_and_labels_merge() {
         let r = Recorder::new();
-        r.counter(&labeled(names::SHARD_HITS, "shard", 0), "Hits per shard.")
-            .add(3);
-        r.counter(&labeled(names::SHARD_HITS, "shard", 1), "Hits per shard.")
-            .add(5);
+        r.counter(
+            &labeled(names::SIZES_PRUNED, "phase", "a"),
+            "Sizes settled.",
+        )
+        .add(3);
+        r.counter(
+            &labeled(names::SIZES_PRUNED, "phase", "b"),
+            "Sizes settled.",
+        )
+        .add(5);
         let text = render_prometheus(&r.snapshot());
         assert_eq!(
-            text.matches("# TYPE buffy_memo_shard_hits_total counter")
+            text.matches("# TYPE buffy_sizes_pruned_total counter")
                 .count(),
             1
         );
-        assert!(text.contains("buffy_memo_shard_hits_total{shard=\"0\"} 3\n"));
-        assert!(text.contains("buffy_memo_shard_hits_total{shard=\"1\"} 5\n"));
+        assert!(text.contains("buffy_sizes_pruned_total{phase=\"a\"} 3\n"));
+        assert!(text.contains("buffy_sizes_pruned_total{phase=\"b\"} 5\n"));
     }
 
     #[test]

@@ -18,7 +18,7 @@ const MAX_TRACE_EVENTS: usize = 1 << 18;
 /// Metric handles are get-or-registered by name — registration takes a
 /// short `Mutex`, but instrumented code does it once per run and then
 /// records through the returned `Arc`s lock-free. Names may carry one
-/// Prometheus-style label, e.g. `buffy_memo_shard_hits_total{shard="3"}`
+/// Prometheus-style label, e.g. `buffy_phase_ns{phase="bounds"}`
 /// (see [`labeled`](crate::labeled)); the exporters group such names
 /// into one metric family.
 ///
@@ -219,8 +219,8 @@ pub struct Snapshot {
 impl Snapshot {
     /// Collects the values of a labelled metric family from `map` as
     /// `(label-value, value)` pairs, in name order. E.g.
-    /// `family_values(&s.counters, SHARD_HITS)` yields one entry per
-    /// shard.
+    /// `family_values(&s.counters, PHASE_NS)` yields one entry per
+    /// phase.
     pub fn family_values<'a, V: Clone>(
         map: &'a BTreeMap<String, V>,
         family: &str,
@@ -257,12 +257,12 @@ mod tests {
     #[test]
     fn family_values_extracts_labels_in_order() {
         let r = Recorder::new();
-        for shard in [2u64, 0, 11] {
-            r.counter(&labeled(names::SHARD_HITS, "shard", shard), "hits")
-                .add(shard + 1);
+        for index in [2u64, 0, 11] {
+            r.counter(&labeled(names::SIZES_PRUNED, "phase", index), "sizes")
+                .add(index + 1);
         }
         let s = r.snapshot();
-        let values = Snapshot::family_values(&s.counters, names::SHARD_HITS);
+        let values = Snapshot::family_values(&s.counters, names::SIZES_PRUNED);
         // BTreeMap order is lexicographic on the full name.
         assert_eq!(values, vec![("0", 1), ("11", 12), ("2", 3)]);
     }

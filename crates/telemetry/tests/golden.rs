@@ -14,13 +14,13 @@ fn prometheus_rendering_matches_golden() {
     )
     .add(4);
     r.counter(
-        &labeled(names::SHARD_HITS, "shard", 0),
-        "Memo-cache hits per shard.",
+        &labeled(names::GUIDED_SKIPPED, "reason", "channel-cap"),
+        "Guided-frontier children discarded without evaluation, by reason.",
     )
     .add(7);
     r.counter(
-        &labeled(names::SHARD_HITS, "shard", 1),
-        "Memo-cache hits per shard.",
+        &labeled(names::GUIDED_SKIPPED, "reason", "ub-size"),
+        "Guided-frontier children discarded without evaluation, by reason.",
     )
     .add(2);
     r.gauge(

@@ -47,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The full Pareto front.
     let result = csdf_explore(&graph, &CsdfExploreOptions::default())?;
     println!(
-        "\nPareto front (unified-kernel exploration, {} analyses, {} cache hits):",
-        result.stats.evaluations, result.stats.cache_hits
+        "\nPareto front (unified-kernel exploration, {} analyses):",
+        result.stats.evaluations
     );
     for p in result.pareto.points() {
         println!("  {p}");

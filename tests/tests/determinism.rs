@@ -3,7 +3,7 @@
 //! The runtime consumes candidate distributions in fixed-size chunks
 //! regardless of the thread count, so a parallel exploration must produce
 //! a byte-identical Pareto front *and* identical statistics (analyses
-//! run, cache hits, largest state space) to the sequential one — on SDF
+//! run, largest state space) to the sequential one — on SDF
 //! and CSDF models alike. These are regression tests for that guarantee:
 //! any scheduling-dependent evaluation order would show up here as a
 //! diverging evaluation count.
@@ -45,8 +45,8 @@ fn sdf_exploration_is_deterministic_across_thread_counts() {
             "{}: fronts must be byte-identical",
             graph.name()
         );
-        // ExplorationStats compares evaluations, cache hits and max
-        // states (wall time is exempt from equality by design).
+        // ExplorationStats compares evaluations, max states, failures and
+        // prunes (wall time is exempt from equality by design).
         assert_eq!(
             seq.stats,
             par.stats,

@@ -2,14 +2,15 @@
 //!
 //! The refactor from the hardcoded storage/throughput pair to declared
 //! [`ObjectiveSpace`]s must be invisible in the default space: fronts and
-//! statistics stay byte-identical at any thread count, with warm starts
-//! on or off, for SDF and CSDF models alike. Declaring the energy axis
-//! attaches an exact rational energy per iteration to every point without
-//! moving the front (energy is a monotone function of throughput, so 3D
-//! dominance coincides with 2D dominance on evaluated points — the same
-//! argument that keeps the throughput-only prune oracle sound). These
-//! tests pin each of those claims, including the energy figures against
-//! a hand-computed value and an independent schedule-walking oracle.
+//! statistics stay byte-identical at any thread count, and whatever the
+//! retained `warm_start_neighbours` / `static_prune` options (which have
+//! no effect) are set to, for SDF and CSDF models alike. Declaring the
+//! energy axis attaches an exact rational energy per iteration to every
+//! point without moving the front (energy is a monotone function of
+//! throughput, so 3D dominance coincides with 2D dominance on evaluated
+//! points). These tests pin each of those claims, including the energy
+//! figures against a hand-computed value and an independent
+//! schedule-walking oracle.
 
 use buffy_analysis::{schedule_energy_per_iteration, throughput, ExplorationLimits, Schedule};
 use buffy_core::{
@@ -264,11 +265,11 @@ fn three_d_front_projects_onto_the_default_front() {
 
 #[test]
 fn throughput_only_pruning_stays_sound_under_the_energy_axis() {
-    // The prune oracle reasons about throughput bounds only. Because
-    // E(t) = W + I·f/t with W, I, f ≥ 0 is non-increasing in t, a pruned
-    // distribution can never have offered strictly lower energy at
-    // comparable throughput — so pruned and unpruned energy-aware runs
-    // must chart byte-identical 3D fronts.
+    // Every candidate reaches the engine whatever the retained
+    // `static_prune` option says, so energy-aware runs chart
+    // byte-identical 3D fronts with it on or off. Because
+    // E(t) = W + I·f/t with W, I, f ≥ 0 is non-increasing in t, energy
+    // never rises along the front.
     let graph = gallery::modem_power();
     let pruned = explore_sdf(
         &graph,

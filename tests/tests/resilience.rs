@@ -11,14 +11,19 @@
 //! * **Panic containment** — an evaluation that panics inside a worker
 //!   degrades to a zero-throughput entry; the run completes, reports the
 //!   failure, and stays deterministic across thread counts.
+//! * **Prompt deadlines** — a constraint search on a size whose every
+//!   candidate falls short of the target still stops soon after its
+//!   deadline, with a sound partial witness or a clean cancellation.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 use buffy_core::{
-    explore_design_space, explore_design_space_observed, CancelReason, CancelToken,
-    ExplorationResult, ExploreError, ExploreObserver, ExploreOptions, ParetoPoint, WarmStart,
+    explore_design_space, explore_design_space_observed, min_storage_for_throughput_observed,
+    CancelReason, CancelToken, ExplorationResult, ExploreError, ExploreObserver, ExploreOptions,
+    NoopObserver, ParetoPoint, WarmStart,
 };
-use buffy_gen::{RandomGraphConfig, SplitMix64};
+use buffy_gen::{gallery, RandomGraphConfig, SplitMix64};
 use buffy_graph::{Rational, SdfGraph, StorageDistribution};
 use buffy_integration_tests::test_threads;
 
@@ -217,6 +222,109 @@ fn resume_from_recorded_evaluations_is_byte_identical() {
             assert_eq!(resumed.max_throughput, exact.max_throughput);
             assert_eq!(resumed.lower_bound_size, exact.lower_bound_size);
             assert_eq!(resumed.upper_bound_size, exact.upper_bound_size);
+        }
+    }
+}
+
+/// The checkpoint contract on gallery graphs: a run interrupted at half
+/// its evaluations, resumed from the evaluations it recorded, reproduces
+/// the uninterrupted front and statistics byte-for-byte at every thread
+/// count.
+#[test]
+fn checkpoint_resume_is_byte_identical_on_gallery_graphs() {
+    for graph in [gallery::example(), gallery::bipartite()] {
+        let exact = explore_with(&graph, ExploreOptions::default());
+        assert!(exact.stats.evaluations > 2, "{}", graph.name());
+
+        let rec = Recorder::default();
+        let budget = exact.stats.evaluations / 2;
+        let interrupted = ExploreOptions {
+            cancel: Some(Arc::new(CancelToken::new().with_eval_budget(budget))),
+            ..ExploreOptions::default()
+        };
+        let _ = explore_design_space_observed(&graph, &interrupted, &rec);
+        let warm = Arc::new(rec.into_warm_start());
+        assert!(!warm.is_empty(), "{}", graph.name());
+
+        for threads in [1, test_threads()] {
+            let resumed = explore_with(
+                &graph,
+                ExploreOptions {
+                    threads,
+                    warm_start: Some(Arc::clone(&warm)),
+                    ..ExploreOptions::default()
+                },
+            );
+            assert!(resumed.completeness.exact);
+            assert_eq!(
+                front_bytes(exact.pareto.points()),
+                front_bytes(resumed.pareto.points()),
+                "{}, threads {threads}",
+                graph.name()
+            );
+            assert_eq!(
+                exact.stats,
+                resumed.stats,
+                "{}, threads {threads}",
+                graph.name()
+            );
+        }
+    }
+}
+
+/// A one-second deadline stops a constraint search within seconds, even
+/// where the searched sizes hold thousands of candidates that all fall
+/// short of the target. The search runs on its own thread and the test
+/// waits at most ten seconds for it, so a search that ignores its
+/// deadline fails the test instead of hanging it.
+#[test]
+fn constraint_search_stops_soon_after_its_deadline() {
+    // The 16-actor graph of `buffy generate --seed 1 --actors 16
+    // --channels 18 --max-repetition 3 --max-rate 2`.
+    let generated = RandomGraphConfig {
+        actors: 16,
+        extra_channels: 3,
+        max_repetition: 3,
+        max_rate_factor: 2,
+        max_execution_time: 4,
+        seed: 1,
+    }
+    .generate();
+    let queries = [
+        ("generated", generated, Rational::new(4847, 35000)),
+        ("satellite", gallery::satellite(), Rational::new(1, 20)),
+    ];
+    for (name, graph, target) in queries {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let opts = ExploreOptions {
+                cancel: Some(Arc::new(
+                    CancelToken::new().with_deadline(Duration::from_secs(1)),
+                )),
+                ..ExploreOptions::default()
+            };
+            let _ = tx.send(min_storage_for_throughput_observed(
+                &graph,
+                target,
+                &opts,
+                &NoopObserver,
+            ));
+        });
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(Ok(r)) => {
+                assert_eq!(
+                    r.completeness.truncated_by,
+                    Some(CancelReason::Deadline),
+                    "{name}: {:?}",
+                    r.completeness
+                );
+                assert!(r.point.throughput >= target, "{name}: {}", r.point);
+            }
+            Ok(Err(ExploreError::Cancelled { reason })) => {
+                assert_eq!(reason, CancelReason::Deadline, "{name}");
+            }
+            Ok(Err(e)) => panic!("{name}: unexpected error {e}"),
+            Err(_) => panic!("{name}: no answer 10 s after a 1 s deadline"),
         }
     }
 }

@@ -1,21 +1,16 @@
-//! Property tests for the static certificate pass: the capacity-aware
-//! cycle-ratio bound must upper-bound the exact (state-space) throughput
-//! on arbitrary graphs, the dominance order the prune oracle relies on
-//! must agree with the exact engine, and switching the oracle off must
-//! leave every front byte-identical — at one worker and at the CI worker
-//! count, for SDF and CSDF models alike.
+//! Property tests for the static certificate pass behind `buffy bounds`
+//! and lints B010/B011: the capacity-aware cycle-ratio bound must
+//! upper-bound the exact (state-space) throughput on arbitrary graphs,
+//! for SDF and CSDF models alike, and the exact engine must respect the
+//! pointwise dominance order of capacities.
 
 use buffy_analysis::{
     throughput_for, Capacities, DataflowSemantics, ExplorationLimits, StaticBounds,
 };
-use buffy_core::{
-    explore_dependency_guided_for, explore_design_space_for, lower_bound_distribution_for,
-    ExplorationResult, ExploreOptions,
-};
+use buffy_core::lower_bound_distribution_for;
 use buffy_csdf::CsdfGraph;
 use buffy_gen::{gallery, RandomGraphConfig};
 use buffy_graph::{ActorId, ChannelId, Rational, SdfGraph, StorageDistribution};
-use buffy_integration_tests::test_threads;
 
 fn random_graph(seed: u64) -> SdfGraph {
     RandomGraphConfig {
@@ -135,8 +130,9 @@ fn static_certificate_upper_bounds_exact_throughput_on_csdf_graphs() {
     }
 }
 
-/// The monotone dominance the prune oracle exploits: a distribution that
-/// dominates another (componentwise ≥ capacities) never runs slower.
+/// Throughput is monotone in pointwise capacity (paper §9): a
+/// distribution that dominates another (componentwise ≥ capacities)
+/// never runs slower.
 #[test]
 fn exact_throughput_respects_the_dominance_order() {
     for seed in 0..12 {
@@ -154,87 +150,5 @@ fn exact_throughput_respects_the_dominance_order() {
                 }
             }
         }
-    }
-}
-
-/// The front rendered to bytes: distribution capacities included, so two
-/// fronts compare byte-for-byte, not just by (size, throughput).
-fn front_bytes(points: &[buffy_core::ParetoPoint]) -> String {
-    points
-        .iter()
-        .map(|p| format!("{};{};{}\n", p.size, p.throughput, p.distribution))
-        .collect()
-}
-
-/// Runs `explore` with the oracle on and off, at one worker and at the
-/// CI worker count, and demands byte-identical fronts throughout.
-fn assert_prune_invisible<M, F>(model: &M, label: &str, explore: F)
-where
-    M: DataflowSemantics + Sync,
-    F: Fn(&M, &ExploreOptions) -> ExplorationResult,
-{
-    let run = |threads: usize, static_prune: bool| {
-        explore(
-            model,
-            &ExploreOptions {
-                threads,
-                static_prune,
-                ..ExploreOptions::default()
-            },
-        )
-    };
-    let reference = run(1, false);
-    for threads in [1, test_threads()] {
-        let pruned = run(threads, true);
-        assert_eq!(
-            front_bytes(reference.pareto.points()),
-            front_bytes(pruned.pareto.points()),
-            "{label}: pruning changed the front at {threads} thread(s)"
-        );
-        assert_eq!(reference.max_throughput, pruned.max_throughput, "{label}");
-        assert!(
-            pruned.stats.evaluations <= reference.stats.evaluations,
-            "{label}: pruning must never add evaluations"
-        );
-    }
-}
-
-#[test]
-fn pruning_preserves_exhaustive_fronts_on_sdf_graphs() {
-    for g in [gallery::example(), gallery::bipartite(), gallery::modem()] {
-        assert_prune_invisible(&g, g.name(), |m, o| explore_design_space_for(m, o).unwrap());
-    }
-    for seed in 0..8 {
-        let g = random_graph(3300 + seed);
-        let label = format!("seed {seed}");
-        assert_prune_invisible(&g, &label, |m, o| explore_design_space_for(m, o).unwrap());
-    }
-}
-
-#[test]
-fn pruning_preserves_guided_fronts_on_sdf_graphs() {
-    for g in [gallery::example(), gallery::bipartite(), gallery::modem()] {
-        assert_prune_invisible(&g, g.name(), |m, o| {
-            explore_dependency_guided_for(m, o).unwrap()
-        });
-    }
-    for seed in 0..8 {
-        let g = random_graph(3400 + seed);
-        let label = format!("seed {seed}");
-        assert_prune_invisible(&g, &label, |m, o| {
-            explore_dependency_guided_for(m, o).unwrap()
-        });
-    }
-}
-
-#[test]
-fn pruning_preserves_fronts_on_csdf_graphs() {
-    let burst = burst_csdf();
-    let embedded = CsdfGraph::from_sdf(&gallery::example());
-    for (label, g) in [("burst3", &burst), ("embedded example", &embedded)] {
-        assert_prune_invisible(g, label, |m, o| explore_design_space_for(m, o).unwrap());
-        assert_prune_invisible(g, label, |m, o| {
-            explore_dependency_guided_for(m, o).unwrap()
-        });
     }
 }

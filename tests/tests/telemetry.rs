@@ -47,12 +47,11 @@ fn render(r: &ExplorationResult) -> String {
         out.push_str(&format!("{};{};{}\n", p.size, p.throughput, p.distribution));
     }
     out.push_str(&format!(
-        "max={} lb={} ub={} evals={} hits={} states={} failures={}\n",
+        "max={} lb={} ub={} evals={} states={} failures={}\n",
         r.max_throughput,
         r.lower_bound_size,
         r.upper_bound_size,
         r.stats.evaluations,
-        r.stats.cache_hits,
         r.stats.max_states,
         r.stats.failures
     ));
@@ -65,8 +64,8 @@ fn render_csdf(r: &CsdfExplorationResult) -> String {
         out.push_str(&format!("{};{};{}\n", p.size, p.throughput, p.distribution));
     }
     out.push_str(&format!(
-        "max={} evals={} hits={} states={}\n",
-        r.max_throughput, r.stats.evaluations, r.stats.cache_hits, r.stats.max_states
+        "max={} evals={} states={}\n",
+        r.max_throughput, r.stats.evaluations, r.stats.max_states
     ));
     out
 }
@@ -192,9 +191,8 @@ fn with_server<T>(
     // A run faster than one scrape roundtrip legitimately yields zero
     // mid-run scrapes; the slower gallery graphs see plenty.
     let _scrapes = scraper.join().unwrap();
-    // The run has ended: these scrapes see the final counters (the
-    // per-shard tallies publish at end of run) and the complete front,
-    // and /events replays the ring and completes.
+    // The run has ended: these scrapes see the final counters and the
+    // complete front, and /events replays the ring and completes.
     let metrics = http_get(addr, "/metrics");
     let status = http_get(addr, "/status");
     let events = http_get(addr, "/events");
@@ -229,7 +227,7 @@ fn sdf_results_are_identical_with_server_attached() {
             // counters and, after the terminal event, the finished status
             // with the full front.
             assert!(metrics.contains("text/plain; version=0.0.4"), "{metrics}");
-            assert!(metrics.contains("buffy_memo_shard"), "{metrics}");
+            assert!(metrics.contains("buffy_eval_latency_ns"), "{metrics}");
             assert!(status.contains("\"finished\":true"), "{status}");
             assert!(
                 status.contains(&format!("\"evaluations\":{}", served.stats.evaluations)),
@@ -277,21 +275,17 @@ fn csdf_results_are_identical_with_server_attached() {
 }
 
 #[test]
-fn recorder_collects_per_shard_and_analysis_metrics() {
+fn recorder_collects_evaluation_and_analysis_metrics() {
     let _guard = RECORDER_SLOT.lock().unwrap_or_else(|e| e.into_inner());
     let graph = gallery::example();
     let (result, recorder) = with_recorder(|| explore_with(&graph, 1));
     let snapshot = recorder.snapshot();
 
-    // Per-shard memo statistics sum to the run's totals.
-    let hits = buffy_telemetry::Snapshot::family_values(&snapshot.counters, names::SHARD_HITS);
-    let misses = buffy_telemetry::Snapshot::family_values(&snapshot.counters, names::SHARD_MISSES);
-    let total_hits: u64 = hits.iter().map(|(_, v)| v).sum();
-    let total_misses: u64 = misses.iter().map(|(_, v)| v).sum();
-    assert_eq!(total_hits, result.stats.cache_hits);
-    // Every miss becomes an analysis (plus warm-start replays, absent
-    // here).
-    assert_eq!(total_misses, result.stats.evaluations);
+    // Every analysis lands in the evaluation-latency histogram.
+    assert_eq!(
+        snapshot.histograms[names::EVAL_LATENCY_NS].count,
+        result.stats.evaluations
+    );
 
     // The analysis layer reported interner probe lengths and state
     // counts.

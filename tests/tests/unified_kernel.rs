@@ -136,38 +136,3 @@ fn generic_driver_matches_typed_wrappers_on_the_paper_example() {
         ]
     );
 }
-
-/// Exploration statistics regression: the memoized evaluator is exercised
-/// by the CSDF path. A multi-point exploration revisits distributions
-/// (the divide-and-conquer probes overlap), so the cache must answer some
-/// requests — misses (`evaluations`) stay strictly below total requests.
-#[test]
-fn csdf_exploration_exercises_the_memo_cache() {
-    let sdf = paper_example();
-    let csdf = CsdfGraph::from_sdf(&sdf);
-    let r = csdf_explore(&csdf, &CsdfExploreOptions::default()).unwrap();
-    assert!(r.pareto.len() >= 4, "need a multi-point exploration");
-    assert!(r.stats.evaluations > 0);
-    assert!(
-        r.stats.cache_hits > 0,
-        "expected repeated evaluation requests to hit the cache \
-         (evaluations {}, cache hits {})",
-        r.stats.evaluations,
-        r.stats.cache_hits
-    );
-    assert!(
-        r.stats.evaluations < r.stats.requests(),
-        "cache misses must stay strictly below total requests"
-    );
-    // The threaded exploration reports the same front and the same number
-    // of distinct analyses (the cache is shared across workers).
-    let threaded = csdf_explore(
-        &csdf,
-        &CsdfExploreOptions {
-            threads: 2,
-            ..CsdfExploreOptions::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(r.pareto, threaded.pareto);
-}
